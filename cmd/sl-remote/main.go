@@ -122,7 +122,7 @@ func run() error {
 		snapshotEvery  = flag.Int("snapshot-every", 1024, "take a snapshot and compact the WAL after this many logged records; 0 snapshots only at shutdown")
 		sealSecret     = flag.String("seal-secret", "", "secret sealing escrowed root keys and snapshots on disk (stands in for the SGX sealing key; required with -state-dir)")
 		sealSecretFile = flag.String("seal-secret-file", "", "read the seal secret from this file instead of the command line")
-		auditFile      = flag.String("audit-file", "", "tamper-evident lease audit log path (defaults to <state-dir>/audit.log with -state-dir; requires the seal secret)")
+		auditFile      = flag.String("audit-file", "", "tamper-evident lease audit log path, a store directory (defaults to <state-dir>/audit.log with -state-dir; requires the seal secret)")
 		drainTimeout   = flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests before force-closing connections")
 
 		insecure        = flag.Bool("insecure", false, "speak explicit plaintext on the wire channel instead of the attested (RA-TLS) default; both daemons must agree")

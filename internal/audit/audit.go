@@ -9,8 +9,9 @@
 // rewriting any interior record breaks every subsequent link), and each
 // record is sealed at rest with AES-GCM (seccrypto.ProtectWithKey), so a
 // party without the seal key cannot forge a replacement chain. On disk the
-// sealed records ride the store package's CRC-framed append-only file;
-// Verify re-walks the whole file and fails loudly on any break.
+// sealed records are the WAL of a store.Store that is never snapshotted
+// (so never compacted), fsynced on every append; Verify re-walks the whole
+// log and fails loudly on any break.
 package audit
 
 import (
@@ -20,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -83,7 +85,8 @@ const tailCap = 512
 // concurrent use. A nil *Log is safe: Append and Verify no-op.
 type Log struct {
 	mu       sync.Mutex
-	file     *store.AppendFile // nil for a memory-only log
+	st       *store.Store // nil for a memory-only log
+	path     string       // the store's directory
 	sealKey  seccrypto.Key
 	seq      uint64
 	lastHash [32]byte
@@ -93,36 +96,51 @@ type Log struct {
 	failures *obs.Counter    // audit_append_failures_total
 }
 
-// Open opens (creating if needed) the audit log at path, sealed with
-// sealKey, and replays the existing chain to find the head. An empty path
-// yields a memory-only log (tests, embedded deployments). A broken chain
-// — bad seal, bad hash link, non-contiguous sequence — is a loud error.
+// Open opens (creating if needed) the audit log in the store directory at
+// path, sealed with sealKey, and replays the existing chain to find the
+// head. An empty path yields a memory-only log (tests, embedded
+// deployments). A broken chain — bad seal, bad hash link, non-contiguous
+// sequence — is a loud error.
 func Open(path string, sealKey seccrypto.Key) (*Log, error) {
 	l := &Log{sealKey: sealKey}
 	if path == "" {
 		return l, nil
 	}
-	file, sealed, err := store.OpenAppendFile(path)
+	// Open creates the directory and its log in one call, so an empty
+	// directory is one whose chain was removed (or never an audit log):
+	// starting a fresh chain there would pass a rollback off as first boot.
+	if entries, err := os.ReadDir(path); err == nil && len(entries) == 0 {
+		return nil, fmt.Errorf("audit: %s is an empty directory, not an audit log (chain deleted, or wrong path)", path)
+	}
+	// Metrics stay nil: store_* counters describe the state WAL alone.
+	st, rec, err := store.Open(store.Options{Dir: path, Mode: store.SyncAlways})
 	if err != nil {
 		return nil, fmt.Errorf("audit: %w", err)
 	}
-	seq, head, tail, err := walkChain(sealed, sealKey)
+	seq, head, tail, err := walkChain(rec, sealKey)
 	if err != nil {
-		_ = file.Close()
+		_ = st.Close()
 		return nil, err
 	}
-	l.file = file
+	l.st = st
+	l.path = path
 	l.seq = seq
 	l.lastHash = head
 	l.tail = tail
 	return l, nil
 }
 
-// walkChain validates a sequence of sealed records: every record must
-// unseal, link to its predecessor's hash, and carry the next sequence
-// number. It returns the head position and the trailing window.
-func walkChain(sealed [][]byte, sealKey seccrypto.Key) (seq uint64, head [32]byte, tail []Record, err error) {
-	for i, ct := range sealed {
+// walkChain validates the sealed records recovered from the log's store:
+// every record must unseal, link to its predecessor's hash, and carry the
+// next sequence number. It returns the head position and the trailing
+// window. The log never snapshots, so a recovered snapshot means the
+// directory is not an audit log — or someone planted an image to make the
+// store skip the chain's generation — and is refused like any other break.
+func walkChain(disk *store.Recovered, sealKey seccrypto.Key) (seq uint64, head [32]byte, tail []Record, err error) {
+	if disk.Snapshot != nil {
+		return 0, head, nil, fmt.Errorf("audit: store holds a generation-%d snapshot; an audit chain never compacts (wrong directory, or tampered)", disk.Generation)
+	}
+	for i, ct := range disk.Records {
 		plain, verr := seccrypto.Validate(ct, sealKey)
 		if verr != nil {
 			return 0, head, nil, fmt.Errorf("audit: record %d: seal validation failed (tampered or wrong key)", i)
@@ -166,13 +184,13 @@ func (l *Log) Append(rec Record) error {
 		l.failures.Inc()
 		return fmt.Errorf("audit: encoding record: %w", err)
 	}
-	if l.file != nil {
+	if l.st != nil {
 		sealed, err := seccrypto.ProtectWithKey(plain, l.sealKey, nil)
 		if err != nil {
 			l.failures.Inc()
 			return fmt.Errorf("audit: sealing record: %w", err)
 		}
-		if err := l.file.Append(sealed); err != nil {
+		if err := l.st.Append(sealed); err != nil {
 			l.failures.Inc()
 			return fmt.Errorf("audit: %w", err)
 		}
@@ -223,58 +241,58 @@ func (l *Log) Tail(n int) []Record {
 	return append([]Record(nil), t...)
 }
 
-// Verify re-reads the log's file from disk and walks the full chain,
-// then checks that the file's head matches the in-memory head. It
-// detects interior tampering (seal or hash-link failure), reordering
-// (sequence breaks), and truncation (file chain shorter than what was
-// appended). Memory-only logs trivially verify. Safe on a nil receiver.
+// Verify re-reads the log from disk and walks the full chain, then checks
+// that the on-disk head matches the in-memory head. It detects interior
+// tampering (seal or hash-link failure), reordering (sequence breaks), and
+// truncation (disk chain shorter than what was appended). Memory-only logs
+// trivially verify. Safe on a nil receiver.
 func (l *Log) Verify() error {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
-	file := l.file
+	path := l.path
 	seq := l.seq
 	head := l.lastHash
 	l.mu.Unlock()
-	if file == nil {
+	if path == "" {
 		return nil
 	}
-	gotSeq, gotHead, err := VerifyFile(file.Path(), l.sealKey)
+	gotSeq, gotHead, err := VerifyFile(path, l.sealKey)
 	if err != nil {
 		return err
 	}
 	if gotSeq != seq || gotHead != head {
-		return fmt.Errorf("audit: file chain ends at record %d, expected %d (truncated or rolled back)", gotSeq, seq)
+		return fmt.Errorf("audit: disk chain ends at record %d, expected %d (truncated or rolled back)", gotSeq, seq)
 	}
 	return nil
 }
 
-// VerifyFile walks the audit chain in the file at path with sealKey and
-// returns its length and head hash. Any seal failure, hash-link break, or
+// VerifyFile walks the audit chain in the store directory at path with
+// sealKey and returns its length and head hash. It only reads, so it is
+// safe beside a live writer. Any seal failure, hash-link break, or
 // sequence gap is an error naming the offending record.
 func VerifyFile(path string, sealKey seccrypto.Key) (uint64, [32]byte, error) {
-	sealed, err := store.ReadAppendFile(path)
+	rec, err := store.Recover(path)
 	if err != nil {
 		return 0, [32]byte{}, fmt.Errorf("audit: %w", err)
 	}
-	seq, head, _, err := walkChain(sealed, sealKey)
+	seq, head, _, err := walkChain(rec, sealKey)
 	return seq, head, err
 }
 
-// Close closes the underlying file. Safe on a nil receiver.
+// Close closes the underlying store; later Appends fail. Safe on a nil
+// receiver.
 func (l *Log) Close() error {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.file == nil {
+	if l.st == nil {
 		return nil
 	}
-	err := l.file.Close()
-	l.file = nil
-	return err
+	return l.st.Close()
 }
 
 // ExposeMetrics registers the log's metrics with an obs registry.

@@ -21,6 +21,17 @@ func testKey(t testing.TB) seccrypto.Key {
 	return key
 }
 
+// walFile returns the one WAL file inside an audit log's store directory,
+// for tests that tamper with the bytes on disk.
+func walFile(t testing.TB, dir string) string {
+	t.Helper()
+	wals, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(wals) != 1 {
+		t.Fatalf("WAL files under %s = %v, %v; want exactly one", dir, wals, err)
+	}
+	return wals[0]
+}
+
 // appendLifecycle writes the issue → renew → crash-forfeit arc the
 // acceptance criteria name.
 func appendLifecycle(t testing.TB, l *Log) {
@@ -104,12 +115,13 @@ func TestAuditVerifyDetectsBitFlip(t *testing.T) {
 
 	// Flip one payload byte of the first sealed record while the log is
 	// still open: the live Verify must fail loudly.
-	raw, err := os.ReadFile(path)
+	wal := walFile(t, path)
+	raw, err := os.ReadFile(wal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[8] ^= 0x01 // first byte past the first frame header
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	if err := os.WriteFile(wal, raw, 0o600); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Verify(); err == nil {
@@ -131,7 +143,8 @@ func TestAuditVerifyDetectsTruncation(t *testing.T) {
 	if err := l.Append(Record{Op: OpIssue, License: "lic", Units: 10}); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(path)
+	wal := walFile(t, path)
+	fi, err := os.Stat(wal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +157,7 @@ func TestAuditVerifyDetectsTruncation(t *testing.T) {
 	}
 	// Roll the file back to exactly one record: the file alone still walks
 	// cleanly, so only the head comparison can catch it.
-	if err := os.Truncate(path, cut); err != nil {
+	if err := os.Truncate(wal, cut); err != nil {
 		t.Fatal(err)
 	}
 	if seq, _, err := VerifyFile(path, testKey(t)); err != nil || seq != 1 {
@@ -172,15 +185,16 @@ func TestAuditVerifyDetectsReorder(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sealed, err := store.ReadAppendFile(path)
+	disk, err := store.Recover(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sealed := disk.Records
 
 	// Rewrite the log with records 2 and 3 swapped: every sealed frame is
 	// individually authentic, so only the chain walk can object.
 	swapped := filepath.Join(dir, "swapped.log")
-	out, _, err := store.OpenAppendFile(swapped)
+	out, _, err := store.Open(store.Options{Dir: swapped, Mode: store.SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,6 +232,77 @@ func TestAuditWrongKeyRejected(t *testing.T) {
 	if _, _, err := VerifyFile(path, wrong); err == nil ||
 		!strings.Contains(err.Error(), "seal validation failed") {
 		t.Fatalf("VerifyFile with wrong key = %v, want seal failure", err)
+	}
+}
+
+// TestAuditFailedAppendKeepsHead pins the no-fork rule: an append the
+// store refuses is counted and returned, and neither the sequence nor the
+// head hash moves, so the next successful record links to what is on disk.
+func TestAuditFailedAppendKeepsHead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "audit.log")
+	l, err := Open(path, testKey(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	l.ExposeMetrics(reg)
+	appendLifecycle(t, l)
+	head := l.HeadHash()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(Record{Op: OpRevoke, License: "lic"}); err == nil {
+		t.Fatal("append to a closed log succeeded")
+	}
+	if l.Len() != 4 || l.HeadHash() != head {
+		t.Fatalf("failed append moved the head: len %d", l.Len())
+	}
+	if got := reg.Snapshot().Get("audit_append_failures_total", nil); got != 1 {
+		t.Errorf("audit_append_failures_total = %v, want 1", got)
+	}
+	if err := l.Verify(); err != nil {
+		t.Fatalf("Verify after a failed append: %v", err)
+	}
+}
+
+// TestAuditOpenRefusesWhatIsNotAChain covers the two directory states Open
+// never leaves behind: an empty directory (the chain's file was removed)
+// and one holding a store snapshot (an audit chain never compacts, and a
+// planted image would make the store skip the chain's generation).
+func TestAuditOpenRefusesWhatIsNotAChain(t *testing.T) {
+	key := testKey(t)
+	empty := filepath.Join(t.TempDir(), "audit.log")
+	if err := os.Mkdir(empty, 0o700); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(empty, key); err == nil {
+		t.Fatal("Open started a fresh chain in an empty directory")
+	}
+
+	path := filepath.Join(t.TempDir(), "audit.log")
+	l, err := Open(path, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendLifecycle(t, l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := store.Open(store.Options{Dir: path, Mode: store.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Snapshot([]byte("planted")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := VerifyFile(path, key); err == nil {
+		t.Fatal("VerifyFile accepted a compacted directory as an empty chain")
+	}
+	if _, err := Open(path, key); err == nil {
+		t.Fatal("Open accepted a compacted directory as an empty chain")
 	}
 }
 

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/slremote"
 	"repro/internal/store"
@@ -39,9 +42,11 @@ func TestTornWriteCrashStopsAndRecovers(t *testing.T) {
 	if !fsys.Crashed() {
 		t.Fatal("FS not crashed after torn write")
 	}
-	// Every subsequent operation fails until the "process" restarts.
-	if err := s.Append([]byte("also-doomed")); err == nil {
-		t.Fatal("append on crashed FS succeeded")
+	// The rollback of the torn frame failed too (the disk is gone), so the
+	// store wedges: every later append reports that instead of writing
+	// after a partial frame.
+	if err := s.Append([]byte("also-doomed")); err == nil || !strings.Contains(err.Error(), "rollback") {
+		t.Fatalf("append on a wedged store = %v, want the failed-rollback error", err)
 	}
 	tr := fsys.Trace()
 	if len(tr) != 1 || tr[0].Kind != TornWrite {
@@ -181,33 +186,6 @@ func TestFSFaultAfterCountsMatchingOps(t *testing.T) {
 	}
 }
 
-func TestAppendFileRollbackThroughChaosFS(t *testing.T) {
-	dir := t.TempDir()
-	fsys := NewFS(nil)
-	af, _, err := store.OpenAppendFileFS(fsys, dir+"/chain.log")
-	if err != nil {
-		t.Fatalf("OpenAppendFileFS: %v", err)
-	}
-	defer af.Close()
-	if err := af.Append([]byte("one")); err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	fsys.Arm(FSFault{Kind: ShortWrite})
-	if err := af.Append([]byte("torn")); err == nil {
-		t.Fatal("faulted append reported success")
-	}
-	if err := af.Append([]byte("two")); err != nil {
-		t.Fatalf("append after rollback: %v", err)
-	}
-	recs, err := store.ReadAppendFileFS(fsys, dir+"/chain.log")
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if len(recs) != 2 || string(recs[0]) != "one" || string(recs[1]) != "two" {
-		t.Fatalf("records %q, want [one two]", recs)
-	}
-}
-
 // connPair builds a wrapped client→server byte path over real TCP.
 func connPair(t *testing.T, d *NetDirector) (wrapped net.Conn, peer net.Conn) {
 	t.Helper()
@@ -292,6 +270,76 @@ func TestConnDropSwallowsAndDupDoubles(t *testing.T) {
 	tr := d.Trace()
 	if len(tr) != 2 || tr[0].Kind != Drop || tr[1].Kind != Dup {
 		t.Fatalf("trace = %v, want [drop dup]", tr)
+	}
+}
+
+// TestConnReorderSwapsOrFlushesOnItsOwn pins both ways a held write gets
+// out: behind the connection's next write, and — when no next write ever
+// comes, as when a whole wave of replies shares the held write — on the
+// hold's own timer, so a reorder can never turn into a stall.
+func TestConnReorderSwapsOrFlushesOnItsOwn(t *testing.T) {
+	d := NewNetDirector()
+	w, peer := connPair(t, d)
+	read := func(n int) string {
+		t.Helper()
+		buf := make([]byte, n)
+		if err := peer.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(peer, buf); err != nil {
+			t.Fatalf("peer read: %v", err)
+		}
+		return string(buf)
+	}
+
+	d.Arm(ConnFault{Kind: Reorder})
+	for _, msg := range []string{"first", "second"} {
+		if n, err := w.Write([]byte(msg)); err != nil || n != len(msg) {
+			t.Fatalf("write %q: n=%d err=%v", msg, n, err)
+		}
+	}
+	if got := read(len("secondfirst")); got != "secondfirst" {
+		t.Fatalf("peer saw %q, want the held write behind the next one", got)
+	}
+
+	d.Arm(ConnFault{Kind: Reorder})
+	if _, err := w.Write([]byte("alone")); err != nil {
+		t.Fatalf("held write: %v", err)
+	}
+	if got := read(len("alone")); got != "alone" {
+		t.Fatalf("peer saw %q, want the held write flushed by its timer", got)
+	}
+}
+
+// reactConn is the worst-case peer of a severing fault: every Write makes
+// a follow-up request readable at once, and Close never lands.
+type reactConn struct {
+	net.Conn
+	in chan []byte
+}
+
+func (c reactConn) Write(p []byte) (int, error) {
+	c.in <- []byte("next-request")
+	return len(p), nil
+}
+
+func (c reactConn) Read(p []byte) (int, error) { return copy(p, <-c.in), nil }
+func (c reactConn) Close() error               { return nil }
+
+// TestConnSeveringFaultStopsReadsFirst pins what keeps a swarm's fault
+// trace reproducible: a peer that has a whole reply in hand after Dup's
+// first copy may answer it before the connection is closed, and that
+// request must never be delivered to the severed side.
+func TestConnSeveringFaultStopsReadsFirst(t *testing.T) {
+	d := NewNetDirector()
+	w := WrapConn(reactConn{in: make(chan []byte, 4)}, d)
+	d.Arm(ConnFault{Kind: Dup})
+	if _, err := w.Write([]byte("reply")); err != nil {
+		t.Fatalf("dup write: %v", err)
+	}
+	buf := make([]byte, 32)
+	if n, err := w.Read(buf); err == nil {
+		t.Fatalf("severed connection delivered %q", buf[:n])
 	}
 }
 

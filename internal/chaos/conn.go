@@ -5,15 +5,17 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/netsim"
 )
 
-// Connection fault kinds. All match Write calls on wrapped connections:
-// the wire protocol writes a length header and a frame per envelope, so a
-// faulted write lands either between envelopes or mid-envelope — both are
-// failure modes a real network serves up.
+// Connection fault kinds. All match Write calls on wrapped connections.
+// The wire layer coalesces: one Write carries one whole frame or a burst of
+// them (whatever the last writer of a burst flushed), so a fault hits a
+// burst, not an envelope, and a cut or corruption lands between envelopes
+// or mid-envelope — both are failure modes a real network serves up.
 const (
 	// Drop swallows one write: the caller sees success, the peer sees
 	// silence and times out.
@@ -25,10 +27,14 @@ const (
 	// into a phantom message. Severing keeps the fault self-contained —
 	// a desynced but open stream would let the server answer a misparsed
 	// later request at an uncontrolled moment, destroying the determinism
-	// of the shared write counter.
+	// of the shared write counter. For the same reason the connection
+	// stops delivering reads the moment the fault fires (see Conn.Read):
+	// the peer has a complete reply in hand after the first copy, and its
+	// next request must not slip in ahead of the close.
 	Dup = "dup"
-	// Cut writes a strict prefix and closes the connection: the
-	// mid-envelope connection cut.
+	// Cut writes the first half of the bytes and closes the connection:
+	// the peer decodes whatever whole frames the prefix holds and then
+	// hits the (usually mid-envelope) connection cut.
 	Cut = "cut"
 	// Reset closes the connection instead of writing.
 	Reset = "reset"
@@ -38,26 +44,29 @@ const (
 	// error. Severing keeps the fault self-contained, as with Dup.
 	Corrupt = "corrupt"
 	// Reorder holds one write's bytes back and releases them after the
-	// connection's NEXT write goes through first. The wire layer frames
-	// each envelope with a single Write call, so this swaps two whole
-	// messages — the out-of-order delivery a pipelining client's demux
-	// must survive. A frame still held when the connection closes is
-	// flushed before the close, so a reorder never degrades to a drop;
-	// a severing fault firing while a frame is held may still lose it.
+	// connection's NEXT write goes through first. A write is one or more
+	// whole frames, so this moves whole messages behind later ones — the
+	// out-of-order delivery a pipelining client's demux must survive.
+	// The next write may never come (a whole wave of replies can share the
+	// held write, and every waiter is then parked on it), so a timer
+	// releases the bytes after delayDuration: a reorder delays, it never
+	// stalls. Bytes still held when the connection closes are flushed
+	// before the close, so a reorder never degrades to a drop; a severing
+	// fault firing while bytes are held may still lose them.
 	Reorder = "reorder"
 )
 
 // ErrConnFault reports a write the injector failed on purpose.
 var ErrConnFault = errors.New("chaos: injected connection fault")
 
-// delayDuration is the pause injected by Delay faults — long enough to
-// reorder against other goroutines' work, short enough to stay far from
-// any test deadline.
+// delayDuration is the pause injected by Delay faults and the longest a
+// Reorder fault holds bytes back — long enough to reorder against other
+// goroutines' work, short enough to stay far from any test deadline.
 const delayDuration = 5 * time.Millisecond
 
 // ConnFault is one armed connection fault.
 type ConnFault struct {
-	// Kind is Drop, Delay, Dup, Cut, Reset, or Corrupt.
+	// Kind is Drop, Delay, Dup, Cut, Reset, Corrupt, or Reorder.
 	Kind string
 	// After skips this many writes before firing (0 fires on the next
 	// write through any wrapped connection).
@@ -170,15 +179,23 @@ func (l *Listener) Accept() (net.Conn, error) {
 }
 
 // Conn is a net.Conn whose writes can be dropped, delayed, duplicated,
-// truncated, or reset by the director. Reads pass through untouched — a
-// fault on the peer's writes is a fault on this side's reads already.
+// truncated, reordered, or reset by the director. Reads pass through
+// untouched — a fault on the peer's writes is a fault on this side's reads
+// already — until a severing fault fires.
 type Conn struct {
 	net.Conn
 	dir  *NetDirector
 	name string
 
-	hmu  sync.Mutex
-	held []byte // one frame held back by a Reorder fault; guarded by hmu
+	// severed is set by Dup, Cut, Reset, and Corrupt before they write
+	// anything: from then on Read delivers nothing, so whether a request
+	// the peer sent in reaction to the faulted write is served cannot
+	// depend on who wins the race to the Close that ends the fault.
+	severed atomic.Bool
+
+	hmu   sync.Mutex
+	held  []byte      // one write held back by a Reorder fault; guarded by hmu
+	flush *time.Timer // releases held after delayDuration; guarded by hmu
 }
 
 // WrapConn attaches a director to one connection.
@@ -186,20 +203,38 @@ func WrapConn(c net.Conn, d *NetDirector) *Conn {
 	return &Conn{Conn: c, dir: d, name: d.nextConn()}
 }
 
+// Read passes through until a severing fault has fired; after that the
+// connection is dead to its reader even if the peer's bytes beat the
+// fault's Close to the socket.
+func (c *Conn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if c.severed.Load() {
+		return 0, net.ErrClosed
+	}
+	return n, err
+}
+
 func (c *Conn) Write(p []byte) (int, error) {
-	switch c.dir.decide(c.name) {
+	kind := c.dir.decide(c.name)
+	switch kind {
+	case Dup, Cut, Reset, Corrupt:
+		c.severed.Store(true)
+	}
+	switch kind {
 	case Reorder:
 		c.hmu.Lock()
 		if c.held == nil {
 			c.held = append([]byte(nil), p...)
+			c.flush = time.AfterFunc(delayDuration, c.flushHeld)
 			c.hmu.Unlock()
-			// Held, not lost: the next write (or Close) releases it.
+			// Held, not lost: the next write, the timer, or Close
+			// releases it.
 			return len(p), nil
 		}
 		c.hmu.Unlock()
-		// A frame is already held; a second hold would just shift which
-		// frame waits, so fall through and write normally (which also
-		// releases the held frame).
+		// A write is already held; a second hold would just shift which
+		// one waits, so fall through and write normally (which also
+		// releases the held bytes).
 	case Drop:
 		// Swallowed whole: report success, deliver nothing.
 		return len(p), nil
@@ -235,19 +270,23 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// flushHeld writes out a frame held by a Reorder fault, after the write
-// that overtook it.
+// flushHeld writes out the bytes held by a Reorder fault: after the write
+// that overtook them, or when the hold's timer fires.
 func (c *Conn) flushHeld() {
 	c.hmu.Lock()
 	h := c.held
 	c.held = nil
+	if c.flush != nil {
+		c.flush.Stop()
+		c.flush = nil
+	}
 	c.hmu.Unlock()
 	if len(h) != 0 {
 		_, _ = c.Conn.Write(h)
 	}
 }
 
-// Close flushes any frame a Reorder fault is still holding, then closes
+// Close flushes any bytes a Reorder fault is still holding, then closes
 // the connection: reordering delays delivery, it never suppresses it.
 func (c *Conn) Close() error {
 	c.flushHeld()

@@ -3,6 +3,7 @@ package integration
 import (
 	"bytes"
 	"context"
+	"io/fs"
 	"net"
 	"os"
 	"path/filepath"
@@ -218,22 +219,28 @@ func TestRestartCycleRecoversLedgerAndEscrow(t *testing.T) {
 		t.Fatalf("audit Close: %v", err)
 	}
 
-	// The escrowed root key must never hit disk in plaintext.
-	entries, err := os.ReadDir(dir)
+	// The escrowed root key must never hit disk in plaintext — in the
+	// state store's files or in the audit log's directory beside them.
+	files := 0
+	err = filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		files++
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if bytes.Contains(raw, rootKey) {
+			t.Errorf("plaintext root-key bytes on disk in %s", path)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) == 0 {
+	if files == 0 {
 		t.Fatal("state directory is empty")
-	}
-	for _, e := range entries {
-		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Contains(raw, rootKey) {
-			t.Errorf("plaintext root-key bytes on disk in %s", e.Name())
-		}
 	}
 
 	// --- Incarnation 2: recover from the state directory. ---

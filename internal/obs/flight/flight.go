@@ -10,7 +10,7 @@
 // path beyond the caller's attribute strings.
 //
 // The ring is dumpable over HTTP (/events via HTTPHandler), on SIGQUIT
-// (DumpText), and persisted through store.AppendFile on graceful shutdown
+// (DumpText), and persisted as a store snapshot on graceful shutdown
 // (Persist/ReadDump) so post-mortems survive the process.
 package flight
 
@@ -271,46 +271,46 @@ func (r *Recorder) HTTPHandler() http.Handler {
 	})
 }
 
-// Persist writes the ring to path through store.AppendFile — one CRC-framed
-// JSON record per event — so a graceful shutdown leaves a durable black box
-// next to the WAL. Safe on a nil receiver (no-op).
+// Persist writes the ring's Dump as the snapshot of a store directory at
+// path — one CRC-framed image, fsynced and renamed into place — so a
+// graceful shutdown leaves a durable black box next to the WAL. A later
+// Persist to the same path replaces the dump. Safe on a nil receiver
+// (no-op).
 func (r *Recorder) Persist(path string) error {
 	if r == nil {
 		return nil
 	}
-	f, _, err := store.OpenAppendFile(path)
+	img, err := json.Marshal(r.Dump())
+	if err != nil {
+		return fmt.Errorf("flight: encoding dump: %w", err)
+	}
+	// SyncOff: nothing is ever appended to this store's WAL; the snapshot
+	// write carries its own fsync.
+	st, _, err := store.Open(store.Options{Dir: path, Mode: store.SyncOff})
 	if err != nil {
 		return fmt.Errorf("flight: opening dump %s: %w", path, err)
 	}
-	for _, ev := range r.Events() {
-		rec, err := json.Marshal(ev)
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("flight: encoding event: %w", err)
-		}
-		if err := f.Append(rec); err != nil {
-			f.Close()
-			return fmt.Errorf("flight: appending to %s: %w", path, err)
-		}
+	if err := st.Snapshot(img); err != nil {
+		_ = st.Close()
+		return fmt.Errorf("flight: writing dump %s: %w", path, err)
 	}
-	return f.Close()
+	return st.Close()
 }
 
-// ReadDump loads a Persist file back into events (oldest first).
+// ReadDump loads a Persist directory back into events (oldest first).
 func ReadDump(path string) ([]Event, error) {
-	payloads, err := store.ReadAppendFile(path)
+	rec, err := store.Recover(path)
 	if err != nil {
 		return nil, fmt.Errorf("flight: reading dump %s: %w", path, err)
 	}
-	events := make([]Event, 0, len(payloads))
-	for _, p := range payloads {
-		var ev Event
-		if err := json.Unmarshal(p, &ev); err != nil {
-			return nil, fmt.Errorf("flight: decoding dump record: %w", err)
-		}
-		events = append(events, ev)
+	if rec.Snapshot == nil {
+		return nil, fmt.Errorf("flight: no dump at %s", path)
 	}
-	return events, nil
+	var d Dump
+	if err := json.Unmarshal(rec.Snapshot, &d); err != nil {
+		return nil, fmt.Errorf("flight: decoding dump %s: %w", path, err)
+	}
+	return d.Events, nil
 }
 
 // ParseDump parses an HTTPHandler/WriteJSON document.

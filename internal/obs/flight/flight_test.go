@@ -181,6 +181,24 @@ func TestPersistReadDumpRoundTrip(t *testing.T) {
 	if got := events[0].Attr("n"); got != "1" {
 		t.Errorf("attr lost across persist: %q", got)
 	}
+
+	// A second Persist to the same path replaces the dump: the ring's
+	// first two events come back once, not twice.
+	r.Emit("persist.three")
+	if err := r.Persist(path); err != nil {
+		t.Fatalf("second Persist: %v", err)
+	}
+	events, err = ReadDump(path)
+	if err != nil {
+		t.Fatalf("ReadDump after second Persist: %v", err)
+	}
+	if len(events) != 3 || events[0].Kind != "persist.one" || events[2].Kind != "persist.three" {
+		t.Fatalf("second dump did not replace the first: %+v", events)
+	}
+
+	if _, err := ReadDump(filepath.Join(t.TempDir(), "absent")); err == nil {
+		t.Fatal("ReadDump of a path nothing was persisted to succeeded")
+	}
 }
 
 func TestMergeOrdersAcrossNodes(t *testing.T) {

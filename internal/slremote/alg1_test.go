@@ -98,16 +98,16 @@ func TestAlg1AlphaNormalization(t *testing.T) {
 	if err := s.SetClientProfile(b, 1, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	// Hand B and C outstanding balances directly: holdersLocked counts any
-	// client with units out, and the formula under test reads only the
-	// holder set, the weights, and TG. The holder index mirrors every
+	// Hand B and C outstanding balances directly: the concurrency set
+	// counts any client with units out, and the formula under test reads
+	// only that set, the weights, and TG. The holder index mirrors every
 	// outstanding mutation, so it is maintained by hand here too.
 	s.mu.Lock()
 	s.clients[b].outstanding["lic"] = 100
 	s.setHolderLocked("lic", s.clients[b])
 	s.clients[c].outstanding["lic"] = 50
 	s.setHolderLocked("lic", s.clients[c])
-	units, st := s.computeGrantLocked(s.clients[a], s.licenses["lic"])
+	units, st := s.alg1Locked(s.clients[a], s.licenses["lic"], nil)
 	s.mu.Unlock()
 
 	if units != 25 {
@@ -139,7 +139,7 @@ func TestAlg1ExpectedLossScaleDown(t *testing.T) {
 	s.mu.Lock()
 	s.clients[b].outstanding["lic"] = 400
 	s.setHolderLocked("lic", s.clients[b])
-	units, st := s.computeGrantLocked(s.clients[a], s.licenses["lic"])
+	units, st := s.alg1Locked(s.clients[a], s.licenses["lic"], nil)
 	s.mu.Unlock()
 
 	// B alone already expects 400·0.8 = 320 lost against τ=100: no grant

@@ -39,13 +39,8 @@ const (
 	opProfile  = "set_profile"
 	opEscrow   = "escrow"
 	opCrash    = "crash"
-	opRenew    = "renew"
+	opRenew    = "renew" // one coalesced RenewLease batch (of one or more grants)
 	opConsume  = "consume"
-	// opRenewBatch is a group-committed renewal: every grant from one
-	// coalesced RenewLease batch in a single record. A singleton batch is
-	// logged as a plain opRenew, so WALs written before coalescing existed
-	// replay unchanged and single-caller servers keep their old format.
-	opRenewBatch = "renew_batch"
 )
 
 // event is one WAL record: a state mutation with its outcome. Fields are
@@ -63,12 +58,12 @@ type event struct {
 	Reliability float64 `json:"reliability,omitempty"`
 	Weight      float64 `json:"weight,omitempty"`
 	SealedKey   []byte  `json:"sealed_key,omitempty"`
-	// Batch carries an opRenewBatch record's grants, in batch order.
-	Batch []batchGrant `json:"batch,omitempty"`
+	// Grants carries an opRenew record's grants, in batch order.
+	Grants []renewGrant `json:"grants,omitempty"`
 }
 
-// batchGrant is one grant inside an opRenewBatch record.
-type batchGrant struct {
+// renewGrant is one grant inside an opRenew record.
+type renewGrant struct {
 	SLID    string `json:"slid"`
 	License string `json:"license"`
 	Units   int64  `json:"units"`
@@ -411,17 +406,10 @@ func (s *Server) applyEventLocked(ev event) error {
 		}
 		s.applyCrashLocked(c)
 	case opRenew:
-		c, ok := s.clients[ev.SLID]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownClient, ev.SLID)
+		if len(ev.Grants) == 0 {
+			return errors.New("renew record carries no grants")
 		}
-		lic, ok := s.licenses[ev.License]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownLicense, ev.License)
-		}
-		s.applyRenewLocked(c, lic, ev.Units)
-	case opRenewBatch:
-		for _, g := range ev.Batch {
+		for _, g := range ev.Grants {
 			c, ok := s.clients[g.SLID]
 			if !ok {
 				return fmt.Errorf("%w: %q", ErrUnknownClient, g.SLID)

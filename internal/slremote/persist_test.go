@@ -231,23 +231,34 @@ func TestNoPlaintextRootKeyOnDisk(t *testing.T) {
 }
 
 func TestReplayRejectsInconsistentLog(t *testing.T) {
-	dir := t.TempDir()
-	st, _ := openTestStore(t, dir)
-	// A renew event for a client the log never initialized: the snapshot and
-	// the log disagree, so recovery must fail loudly.
-	if err := st.Append([]byte(`{"op":"renew","slid":"ghost","license":"l","units":3}`)); err != nil {
-		t.Fatal(err)
+	cases := []struct{ name, record, wantErr string }{
+		// A renew event for a client the log never initialized: the
+		// snapshot and the log disagree, so recovery must fail loudly.
+		{"unknown-client", `{"op":"renew","grants":[{"slid":"ghost","license":"l","units":3}]}`, "unknown client"},
+		// A renew record without a grant list (the shape this repo wrote
+		// before batches of one and N shared a record) must not replay as
+		// a silent no-op.
+		{"no-grants", `{"op":"renew","slid":"ghost","license":"l","units":3}`, "no grants"},
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2, rec := openTestStore(t, dir)
-	defer st2.Close()
-	_, err := RecoverServer(DefaultConfig(), nil, rec, PersistConfig{
-		Log: st2, Snap: st2, SealKey: testSealKey(t),
-	})
-	if err == nil || !strings.Contains(err.Error(), "unknown client") {
-		t.Fatalf("want unknown-client replay failure, got %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, _ := openTestStore(t, dir)
+			if err := st.Append([]byte(tc.record)); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st2, rec := openTestStore(t, dir)
+			defer st2.Close()
+			_, err := RecoverServer(DefaultConfig(), nil, rec, PersistConfig{
+				Log: st2, Snap: st2, SealKey: testSealKey(t),
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("want %q replay failure, got %v", tc.wantErr, err)
+			}
+		})
 	}
 }
 

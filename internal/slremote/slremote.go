@@ -20,8 +20,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -376,21 +377,7 @@ func (s *Server) applyInitLocked(slid string, nextSLID int) InitResult {
 		// A client that returns holding leases but without a graceful
 		// shutdown on record must have crashed (or be replaying): forfeit
 		// everything it held (Section 5.7).
-		for licID, held := range c.outstanding {
-			if held == 0 {
-				continue
-			}
-			if lic, ok := s.licenses[licID]; ok {
-				lic.Lost += held
-				if m := s.metrics.Load(); m != nil {
-					m.licenseLost.With(licID).Set(float64(lic.Lost))
-				}
-			}
-			delete(c.outstanding, licID)
-			s.clearHolderLocked(licID, c)
-			s.stats.CrashForfeits++
-			s.auditLocked(audit.Record{Op: audit.OpCrashForfeit, SLID: c.slid, License: licID, Units: held})
-		}
+		s.forfeitLocked(c)
 	}
 	if c.hasEscrow {
 		res.OBK = c.escrow
@@ -488,20 +475,30 @@ func (s *Server) ReportCrash(slid string) error {
 }
 
 func (s *Server) applyCrashLocked(c *clientState) {
+	s.forfeitLocked(c)
+	c.crashed = true
+	c.hasEscrow = false
+}
+
+// forfeitLocked is the pessimistic crash policy's transfer: every unit the
+// client holds moves to its license's Lost counter. Shared by a reported
+// crash and by an init() that reveals an unreported one.
+func (s *Server) forfeitLocked(c *clientState) {
 	for licID, held := range c.outstanding {
+		delete(c.outstanding, licID)
+		if held == 0 {
+			continue
+		}
 		if lic, ok := s.licenses[licID]; ok {
 			lic.Lost += held
 			if m := s.metrics.Load(); m != nil {
 				m.licenseLost.With(licID).Set(float64(lic.Lost))
 			}
 		}
-		delete(c.outstanding, licID)
 		s.clearHolderLocked(licID, c)
 		s.stats.CrashForfeits++
 		s.auditLocked(audit.Record{Op: audit.OpCrashForfeit, SLID: c.slid, License: licID, Units: held})
 	}
-	c.crashed = true
-	c.hasEscrow = false
 }
 
 // Grant is a renewal result: the sub-GCL handed to the client.
@@ -513,30 +510,42 @@ type Grant struct {
 	GCL lease.GCL
 }
 
-// renewCall is one waiter in the renewal batcher: a request parked until
-// the batch that carries it commits (or is denied).
+// renewCall is one waiter in the renewal batcher — a request parked until
+// the batch that carries it commits (or denies it) — and that batch's
+// working state for the request.
 type renewCall struct {
 	slid    string
 	license string
 	grant   Grant
 	err     error
-	done    chan struct{}
+	// wake carries the signals a parked caller gets: true once its batch
+	// is finished (grant and err are set); before that, false if the
+	// outgoing leader hands it the leader role. Buffered, and each signal
+	// is sent at most once with the false consumed before the true is
+	// sent, so no sender ever blocks.
+	wake chan bool
+
+	// Set by renewBatch's passes, under Server.mu.
+	c   *clientState
+	lic *License
+	st  alg1State
 }
 
 // renewBatcher coalesces concurrent RenewLease calls into group commits.
-// The first caller to find no leader becomes the leader: it drains the
-// pending queue, processes the whole batch under ONE hold of Server.mu
-// with ONE write-ahead-log append (which rides the store's batched-fsync
-// window), fans the per-caller results back out, and keeps draining until
-// the queue is empty. Callers that arrive while a leader is active just
-// park — their request rides the leader's next batch.
+// The first caller to find no leader becomes the leader: it takes the
+// pending queue (its own call included) and processes that batch under ONE
+// hold of Server.mu with ONE write-ahead-log append (which rides the
+// store's batched-fsync window), fans the per-caller results back out, and
+// returns to its own caller. If more calls parked meanwhile it hands the
+// role to the oldest of them, which leads the batch it is in — so no
+// caller waits on a batch that does not contain its own request.
 //
 // Lock order: renewBatcher.mu is released before Server.mu is taken and
 // is never acquired while holding it.
 type renewBatcher struct {
 	mu      sync.Mutex
 	pending []*renewCall // guardedby: mu — calls waiting for the next batch
-	leading bool         // guardedby: mu — a leader is draining the queue
+	leading bool         // guardedby: mu — a leader is processing a batch, or one was just handed the role
 }
 
 // RenewLease runs Algorithm 1 for the named client and license and, on
@@ -550,72 +559,63 @@ type renewBatcher struct {
 // group-committed WAL append, so N pipelined renewals cost one fsync
 // window instead of N.
 func (s *Server) RenewLease(slid, licenseID string) (Grant, error) {
-	call := &renewCall{slid: slid, license: licenseID, done: make(chan struct{})}
-	s.renews.mu.Lock()
-	s.renews.pending = append(s.renews.pending, call)
-	if s.renews.leading {
-		s.renews.mu.Unlock()
-		<-call.done
-		return call.grant, call.err
-	}
-	s.renews.leading = true
-	for {
-		batch := s.renews.pending
-		s.renews.pending = nil
-		s.renews.mu.Unlock()
-		s.renewBatch(batch)
-		s.renews.mu.Lock()
-		if len(s.renews.pending) == 0 {
-			s.renews.leading = false
-			s.renews.mu.Unlock()
-			break
+	call := &renewCall{slid: slid, license: licenseID, wake: make(chan bool, 1)}
+	b := &s.renews
+	b.mu.Lock()
+	b.pending = append(b.pending, call)
+	if b.leading {
+		b.mu.Unlock()
+		if <-call.wake {
+			return call.grant, call.err
 		}
+		// Handed the role: the batch to lead is everything parked by now,
+		// this call (the oldest) included.
+		b.mu.Lock()
 	}
-	<-call.done
+	b.leading = true
+	batch := b.pending
+	b.pending = nil
+	b.mu.Unlock()
+
+	s.renewBatch(batch)
+
+	b.mu.Lock()
+	var next *renewCall
+	if len(b.pending) > 0 {
+		next = b.pending[0]
+	} else {
+		b.leading = false
+	}
+	b.mu.Unlock()
+	if next != nil {
+		next.wake <- false
+	}
 	return call.grant, call.err
 }
 
-// renewBatch processes one drained batch: every call's Algorithm-1 grant
-// is computed against the batch-start state (with a per-license running
-// pool balance so the batch can never over-grant), the surviving grants
-// are made durable with one WAL append, and only then applied. Denials
-// are audited individually and never logged — a denial mutates nothing.
+// renewBatch processes one batch: every call's Algorithm-1 grant is
+// computed against the batch-start state (with a per-license running pool
+// balance so the batch can never over-grant), the surviving grants are
+// made durable with one WAL append, and only then applied. Denials are
+// audited individually and never logged — a denial mutates nothing. A
+// batch of one takes exactly the same path.
 func (s *Server) renewBatch(batch []*renewCall) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer func() {
 		for _, call := range batch {
-			close(call.done)
+			call.wake <- true
 		}
 	}()
 
-	type grantPlan struct {
-		call  *renewCall
-		c     *clientState
-		lic   *License
-		units int64
-		st    alg1State
-	}
-	plans := make([]grantPlan, 0, len(batch))
-	// remaining simulates each license's pool across the batch: grants
-	// planned earlier in the batch shrink what later ones may take, even
-	// though nothing is applied until the WAL append succeeds.
-	remaining := make(map[*License]int64)
-
-	// Resolve every call first and collect, per license, the distinct
-	// requesters in this batch: Algorithm 1 prices each grant against the
-	// license's holders plus ALL of its batch co-requesters, so a
-	// thundering herd renewing one license divides the pool the same way
-	// sequential arrival would, instead of each request pricing itself as
-	// the only newcomer.
-	type resolved struct {
-		c   *clientState
-		lic *License
-	}
-	rcs := make([]resolved, len(batch))
+	// Resolve every call first and collect, per license, the requesters in
+	// this batch: Algorithm 1 prices each grant against the license's
+	// holders plus ALL of its batch co-requesters, so a thundering herd
+	// renewing one license divides the pool the same way sequential
+	// arrival would, instead of each request pricing itself as the only
+	// newcomer.
 	coByLic := make(map[string][]*clientState)
-	coSeen := make(map[string]map[string]bool)
-	for i, call := range batch {
+	for _, call := range batch {
 		c, ok := s.clients[call.slid]
 		if !ok {
 			call.err = fmt.Errorf("%w: %q", ErrUnknownClient, call.slid)
@@ -626,131 +626,124 @@ func (s *Server) renewBatch(batch []*renewCall) {
 			call.err = fmt.Errorf("%w: %q", ErrUnknownLicense, call.license)
 			continue
 		}
-		rcs[i] = resolved{c: c, lic: lic}
-		if coSeen[lic.ID] == nil {
-			coSeen[lic.ID] = make(map[string]bool)
-		}
-		if !coSeen[lic.ID][c.slid] {
-			coSeen[lic.ID][c.slid] = true
-			coByLic[lic.ID] = append(coByLic[lic.ID], c)
-		}
+		call.c, call.lic = c, lic
+		coByLic[lic.ID] = append(coByLic[lic.ID], c)
 	}
 
-	for i, call := range batch {
-		c, lic := rcs[i].c, rcs[i].lic
-		if c == nil || lic == nil {
+	// The WAL records the Algorithm 1 *outcomes* (the granted units), not
+	// the requests, so replay applies the exact historical transfers
+	// instead of re-running the policy against a drifting view. grants is
+	// that record, built as the calls are planned; a call is planned iff
+	// it leaves this pass with a nil err.
+	grants := make([]renewGrant, 0, len(batch))
+	// remaining simulates each license's pool across the batch: grants
+	// planned earlier in the batch shrink what later ones may take, even
+	// though nothing is applied until the WAL append succeeds.
+	remaining := make(map[*License]int64)
+	for _, call := range batch {
+		if call.err != nil {
 			continue // unresolved above
 		}
-		deny := func(err error) {
-			s.stats.RenewalsDenied++
-			s.auditLocked(audit.Record{Op: audit.OpDeny, SLID: call.slid, License: call.license, Err: err.Error()})
-			s.flight.Load().Emit("slremote.denial",
-				flight.KV{K: "slid", V: call.slid},
-				flight.KV{K: "license", V: call.license},
-				flight.KV{K: "err", V: err.Error()})
-			call.err = err
-		}
+		c, lic := call.c, call.lic
 		rem, seen := remaining[lic]
 		if !seen {
 			rem = lic.Remaining
 		}
 		if lic.Revoked {
-			deny(fmt.Errorf("%w: %q", ErrLicenseRevoked, call.license))
+			s.denyLocked(call, fmt.Errorf("%w: %q", ErrLicenseRevoked, call.license))
 			continue
 		}
 		if rem <= 0 {
-			deny(fmt.Errorf("%w: %q", ErrLicenseExhausted, call.license))
+			s.denyLocked(call, fmt.Errorf("%w: %q", ErrLicenseExhausted, call.license))
 			continue
 		}
 
 		var units int64
-		var st alg1State
 		if lic.Kind == lease.Perpetual {
 			// A perpetual license is a seat, not a consumable budget:
 			// activation transfers one whole unit, never a sub-division.
 			units = 1
-			st = alg1State{alpha: 1, gMax: 1, health: c.health, reliability: c.reliability}
+			call.st = alg1State{alpha: 1, gMax: 1, health: c.health, reliability: c.reliability}
 		} else {
-			holders, weightSum := s.holdersBatchLocked(lic.ID, c, coByLic[lic.ID])
-			units, st = s.computeGrantWithLocked(c, lic, holders, weightSum)
-			if units <= 0 && rem > 0 {
+			units, call.st = s.alg1Locked(c, lic, coByLic[lic.ID])
+			if units <= 0 {
 				// Algorithm 1's scale-downs can floor small pools to zero;
 				// a live license always yields at least one unit so small
 				// (e.g. 3-interval trial) licenses remain usable.
 				units = 1
 			}
 		}
-		if units <= 0 {
-			deny(fmt.Errorf("%w: %q (policy granted zero units)", ErrLicenseExhausted, call.license))
-			continue
-		}
 		if units > rem {
 			units = rem
 		}
 		remaining[lic] = rem - units
-		plans = append(plans, grantPlan{call: call, c: c, lic: lic, units: units, st: st})
+		grants = append(grants, renewGrant{SLID: call.slid, License: call.license, Units: units})
 	}
 
-	if len(plans) == 0 {
+	if len(grants) == 0 {
 		return
 	}
-
-	// The WAL records the Algorithm 1 *outcomes* (the granted units), not
-	// the requests, so replay applies the exact historical transfers
-	// instead of re-running the policy against a drifting view. A
-	// singleton batch logs the classic opRenew record, byte-identical to
-	// the pre-coalescing WAL.
-	var ev event
-	if len(plans) == 1 {
-		ev = event{Op: opRenew, SLID: plans[0].call.slid, License: plans[0].call.license, Units: plans[0].units}
-	} else {
-		entries := make([]batchGrant, len(plans))
-		for i, p := range plans {
-			entries[i] = batchGrant{SLID: p.call.slid, License: p.call.license, Units: p.units}
-		}
-		ev = event{Op: opRenewBatch, Batch: entries}
-	}
-	if err := s.logLocked(ev); err != nil {
-		for i := range plans {
-			plans[i].call.err = err
+	if err := s.logLocked(event{Op: opRenew, Grants: grants}); err != nil {
+		for _, call := range batch {
+			if call.err == nil {
+				call.err = err
+			}
 		}
 		return
 	}
 
-	for _, p := range plans {
-		s.applyRenewLocked(p.c, p.lic, p.units)
+	planned := 0
+	for _, call := range batch {
+		if call.err != nil {
+			continue
+		}
+		units := grants[planned].Units
+		planned++
+		s.applyRenewLocked(call.c, call.lic, units)
 
 		// Effective scale-down: the ratio the policy actually applied
 		// between the client's proportional ceiling G_i and the granted
 		// g_i. It starts at the configured D and grows as
 		// health/reliability/expected-loss corrections bite.
 		scale := s.cfg.D
-		if p.units > 0 && p.st.gMax > 0 {
-			scale = p.st.gMax / float64(p.units)
+		if call.st.gMax > 0 {
+			scale = call.st.gMax / float64(units)
 		}
 		if m := s.metrics.Load(); m != nil {
-			m.alg1Alpha.With(p.call.slid).Set(p.st.alpha)
-			m.alg1ScaleDown.With(p.call.slid).Set(scale)
-			m.alg1Health.With(p.call.slid).Set(p.st.health)
-			m.alg1Reliability.With(p.call.slid).Set(p.st.reliability)
+			m.alg1Alpha.With(call.slid).Set(call.st.alpha)
+			m.alg1ScaleDown.With(call.slid).Set(scale)
+			m.alg1Health.With(call.slid).Set(call.st.health)
+			m.alg1Reliability.With(call.slid).Set(call.st.reliability)
 		}
 		s.auditLocked(audit.Record{
-			Op: audit.OpRenew, SLID: p.call.slid, License: p.call.license, Units: p.units,
+			Op: audit.OpRenew, SLID: call.slid, License: call.license, Units: units,
 			Alg1: &audit.Alg1{
-				Alpha:        p.st.alpha,
+				Alpha:        call.st.alpha,
 				ScaleDown:    scale,
-				Health:       p.st.health,
-				Reliability:  p.st.reliability,
-				ExpectedLoss: p.st.expLoss,
+				Health:       call.st.health,
+				Reliability:  call.st.reliability,
+				ExpectedLoss: call.st.expLoss,
 			},
 		})
-		p.call.grant = Grant{
-			License: p.call.license,
-			Units:   p.units,
-			GCL:     lease.GCL{Kind: p.lic.Kind, Counter: p.units, Interval: p.lic.Interval},
+		call.grant = Grant{
+			License: call.license,
+			Units:   units,
+			GCL:     lease.GCL{Kind: call.lic.Kind, Counter: units, Interval: call.lic.Interval},
 		}
 	}
 	s.maybeSnapshotLocked()
+}
+
+// denyLocked refuses one renewal: counted, audited, and recorded in the
+// flight ring, but never logged — a denial mutates nothing.
+func (s *Server) denyLocked(call *renewCall, err error) {
+	s.stats.RenewalsDenied++
+	s.auditLocked(audit.Record{Op: audit.OpDeny, SLID: call.slid, License: call.license, Err: err.Error()})
+	s.flight.Load().Emit("slremote.denial",
+		flight.KV{K: "slid", V: call.slid},
+		flight.KV{K: "license", V: call.license},
+		flight.KV{K: "err", V: err.Error()})
+	call.err = err
 }
 
 // applyRenewLocked transfers units from the license pool to the client.
@@ -778,17 +771,11 @@ type alg1State struct {
 	expLoss     float64 // Equation 1 after the final scale-down
 }
 
-// computeGrantLocked is Algorithm 1 (RenewLease) from the paper.
-func (s *Server) computeGrantLocked(c *clientState, lic *License) (int64, alg1State) {
-	holders, weightSum := s.holdersLocked(lic.ID, c)
-	return s.computeGrantWithLocked(c, lic, holders, weightSum)
-}
-
-// computeGrantWithLocked is the Algorithm 1 body against an explicit
-// concurrency set: holders must include c, and weightSum must span
-// exactly holders. Coalesced batches pass a set with their co-requesters
-// folded in; the single-renewal path passes holdersLocked's view.
-func (s *Server) computeGrantWithLocked(c *clientState, lic *License, holders []*clientState, weightSum float64) (int64, alg1State) {
+// alg1Locked is Algorithm 1 (RenewLease) from the paper, priced against
+// the license's concurrency set: its current holders, the requester c, and
+// co, the requesters sharing c's batch (see concurrencySetLocked).
+func (s *Server) alg1Locked(c *clientState, lic *License, co []*clientState) (int64, alg1State) {
+	holders, weightSum := s.concurrencySetLocked(lic.ID, c, co)
 	concurrency := float64(len(holders))
 	alpha := c.weight / weightSum // α_i with Σα_i = 1
 
@@ -833,72 +820,39 @@ func (s *Server) computeGrantWithLocked(c *clientState, lic *License, holders []
 	}
 }
 
-// holdersLocked returns the clients that currently hold or are requesting
-// the license (always including the requester) and their total weight.
-// Holders come back in sorted-SLID order so the floating-point sums built
-// over them (weight normalization, Equation 1) are reproducible — seeded
-// harness runs depend on that, and map order would break it.
-func (s *Server) holdersLocked(licenseID string, requester *clientState) ([]*clientState, float64) {
+// concurrencySetLocked returns the clients that currently hold or are
+// requesting the license — the requester first, then the holders and the
+// batch's other requesters co (duplicates, the requester itself and
+// crashed clients dropped) — and their total weight. A batch prices every
+// grant as if all its requesters already held the license, which is the
+// state sequential arrival converges to; a lone request passes no co and
+// is priced against the holders alone. The set comes back in sorted-SLID
+// order so the floating-point sums built over it (weight normalization,
+// Equation 1) are reproducible — seeded harness runs depend on that, and
+// map order would break it.
+func (s *Server) concurrencySetLocked(licenseID string, requester *clientState, co []*clientState) ([]*clientState, float64) {
 	idx := s.holders[licenseID]
-	slids := make([]string, 0, len(idx))
-	for slid, other := range idx {
-		if other == requester || other.crashed {
-			continue
-		}
-		slids = append(slids, slid)
+	set := make([]*clientState, 1, 1+len(idx)+len(co))
+	set[0] = requester
+	for _, holder := range idx {
+		set = append(set, holder)
 	}
-	sort.Strings(slids)
-	holders := make([]*clientState, 0, len(slids)+1)
-	holders = append(holders, requester)
-	weightSum := requester.weight
-	for _, slid := range slids {
-		other := idx[slid]
-		holders = append(holders, other)
-		weightSum += other.weight
+	set = append(set, co...)
+	// One SLID is one *clientState, so after sorting duplicates are
+	// adjacent equal pointers.
+	others := set[1:]
+	slices.SortFunc(others, func(a, b *clientState) int { return strings.Compare(a.slid, b.slid) })
+	others = slices.Compact(others)
+	others = slices.DeleteFunc(others, func(c *clientState) bool { return c == requester || c.crashed })
+	set = set[:1+len(others)]
+	var weightSum float64
+	for _, c := range set {
+		weightSum += c.weight
 	}
 	if weightSum <= 0 {
 		weightSum = 1
 	}
-	return holders, weightSum
-}
-
-// holdersBatchLocked is holdersLocked with the rest of a coalesced
-// batch's requesters for the same license folded into the concurrency
-// set: the batch prices every grant as if all its requesters already
-// held the license, which is the state sequential arrival converges to.
-// With co = {requester} it degenerates to holdersLocked exactly, so
-// singleton batches price like the pre-coalescing server.
-func (s *Server) holdersBatchLocked(licenseID string, requester *clientState, co []*clientState) ([]*clientState, float64) {
-	idx := s.holders[licenseID]
-	members := make(map[string]*clientState, len(idx)+len(co))
-	for slid, other := range idx {
-		if other == requester || other.crashed {
-			continue
-		}
-		members[slid] = other
-	}
-	for _, r := range co {
-		if r == requester || r.crashed {
-			continue
-		}
-		members[r.slid] = r
-	}
-	slids := make([]string, 0, len(members))
-	for slid := range members {
-		slids = append(slids, slid)
-	}
-	sort.Strings(slids)
-	holders := make([]*clientState, 0, len(slids)+1)
-	holders = append(holders, requester)
-	weightSum := requester.weight
-	for _, slid := range slids {
-		holders = append(holders, members[slid])
-		weightSum += members[slid].weight
-	}
-	if weightSum <= 0 {
-		weightSum = 1
-	}
-	return holders, weightSum
+	return set, weightSum
 }
 
 // setHolderLocked and clearHolderLocked maintain the per-license holder

@@ -10,8 +10,8 @@ import (
 // implementation (OSFS) forwards straight to the os package; fault-injection
 // harnesses (internal/chaos) substitute an implementation that can tear
 // writes, fail fsyncs, or crash-stop at a chosen operation. The interface is
-// deliberately minimal — exactly the calls the WAL, snapshot, and append-file
-// machinery make, nothing speculative.
+// deliberately minimal — exactly the calls the WAL and snapshot machinery
+// make, nothing speculative.
 type FS interface {
 	// MkdirAll creates a directory tree like os.MkdirAll.
 	MkdirAll(path string, perm fs.FileMode) error

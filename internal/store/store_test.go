@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -40,12 +41,22 @@ func recordsAsStrings(rec *Recovered) []string {
 func TestAppendRecoverRoundTrip(t *testing.T) {
 	for _, mode := range []SyncMode{SyncAlways, SyncBatched, SyncOff} {
 		t.Run(mode.String(), func(t *testing.T) {
-			dir := t.TempDir()
+			// A nested path exercises parent-directory creation.
+			dir := filepath.Join(t.TempDir(), "sub", "log")
 			s, rec := openT(t, dir, mode)
 			if !rec.Empty() {
 				t.Fatalf("fresh dir recovered non-empty state: %+v", rec)
 			}
 			appendAll(t, s, "one", "two", "three")
+			// A read-only Recover sees the records while the writer is
+			// still open (the audit chain's live Verify depends on it).
+			live, err := Recover(dir)
+			if err != nil {
+				t.Fatalf("Recover beside a live writer: %v", err)
+			}
+			if got := len(live.Records); got != 3 {
+				t.Fatalf("live Recover = %d records, want 3", got)
+			}
 			if err := s.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}

@@ -92,8 +92,8 @@ func (l delayListener) Accept() (net.Conn, error) {
 
 // BenchmarkPipelinedRenewals measures renewal throughput over ONE wire
 // connection at different in-flight depths, with benchLinkDelay of
-// simulated one-way latency on every server reply. inflight=1 is the
-// legacy lock-step protocol: each renewal pays the full reply delay
+// simulated one-way latency on every server reply. inflight=1 is a
+// one-at-a-time peer: each renewal pays the full reply delay
 // before the next request leaves. inflight=16 keeps sixteen requests on
 // the wire at once, which is the whole point of the correlation-ID demux:
 // the link latency is paid once per window instead of once per RPC. The

@@ -21,12 +21,12 @@ import (
 	"repro/internal/store"
 )
 
-// Server exposes an slremote.Server over TCP. Each connection is handled
-// by its own goroutine. Envelopes carrying a correlation ID are dispatched
-// concurrently — one goroutine per in-flight envelope, replies serialized
-// onto the connection with the request's ID echoed so a pipelining client
-// can match them; envelopes without an ID (legacy hand-rolled peers) keep
-// the sequential one-at-a-time protocol.
+// Server exposes an slremote.Server over TCP. Each connection is read by
+// its own goroutine, and every envelope is dispatched concurrently — one
+// goroutine per in-flight envelope, replies serialized onto the connection
+// with the request's ID echoed (whatever it was, zero included) so a
+// pipelining client can match them. A peer that sends one request at a
+// time still sees its replies in order, because it waits for each.
 type Server struct {
 	remote *slremote.Server
 	logf   func(format string, args ...any)
@@ -164,7 +164,7 @@ type connState struct {
 // Replies coalesce: each frame lands in a buffered writer, and only the
 // last writer in a burst pays the Write syscall (pend tracks queued
 // writers; whoever decrements it to zero flushes). A lone reply flushes
-// immediately, so the sequential protocol's latency is unchanged.
+// immediately, so a one-at-a-time peer pays no added latency.
 type connWriter struct {
 	pend atomic.Int64 // writers queued for mu; the one that drops it to 0 flushes
 	mu   sync.Mutex
@@ -383,35 +383,23 @@ func (s *Server) handle(conn net.Conn) {
 		if !s.beginEnvelope(conn) {
 			return
 		}
-		if env.ID != 0 {
-			// Pipelined request: dispatch concurrently and go straight back
-			// to reading. The reply carries the correlation ID, so ordering
-			// across in-flight envelopes is the client's problem to demux.
-			s.wg.Add(1)
-			go func(env Envelope) {
-				defer s.wg.Done()
-				herr := s.handleEnvelope(wc, cw, env)
-				stop := s.endEnvelope(conn)
-				if herr != nil {
-					s.logf("wire: reply to %s: %v", conn.RemoteAddr(), herr)
-				}
-				if herr != nil || stop {
-					// Closing the raw conn unblocks the read loop, which
-					// owns the connection teardown.
-					_ = conn.Close()
-				}
-			}(env)
-			continue
-		}
-		err = s.handleEnvelope(wc, cw, env)
-		stop := s.endEnvelope(conn)
-		if err != nil {
-			s.logf("wire: reply to %s: %v", conn.RemoteAddr(), err)
-			return
-		}
-		if stop {
-			return
-		}
+		// Dispatch concurrently and go straight back to reading. The reply
+		// carries the request's correlation ID, so ordering across in-flight
+		// envelopes is the client's problem to demux.
+		s.wg.Add(1)
+		go func(env Envelope) {
+			defer s.wg.Done()
+			herr := s.handleEnvelope(wc, cw, env)
+			stop := s.endEnvelope(conn)
+			if herr != nil {
+				s.logf("wire: reply to %s: %v", conn.RemoteAddr(), herr)
+			}
+			if herr != nil || stop {
+				// Closing the raw conn unblocks the read loop, which
+				// owns the connection teardown.
+				_ = conn.Close()
+			}
+		}(env)
 	}
 }
 

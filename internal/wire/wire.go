@@ -67,9 +67,9 @@ type TraceContext struct {
 // ID correlates pipelined requests with their responses: a client may have
 // many envelopes in flight on one connection, and the server echoes each
 // request's ID on its reply so the client's demux reader hands every
-// response to the waiter that sent it. ID 0 (absent on the wire) is the
-// legacy one-at-a-time protocol: the server answers in order, which is
-// what hand-rolled peers that never set IDs still get.
+// response to the waiter that sent it. A peer that never sets IDs (0 is
+// absent on the wire) gets 0 echoed back and must keep one request in
+// flight at a time to tell its replies apart.
 type Envelope struct {
 	Type    string          `json:"type"`
 	ID      uint64          `json:"id,omitempty"`
