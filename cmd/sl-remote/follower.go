@@ -1,26 +1,14 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"net"
 	"os"
-	"os/signal"
-	"path/filepath"
-	"sync/atomic"
-	"syscall"
 	"time"
 
-	"repro/internal/attest"
-	"repro/internal/audit"
 	"repro/internal/cluster"
-	"repro/internal/obs"
 	"repro/internal/ratls"
-	"repro/internal/seccrypto"
-	"repro/internal/sgx"
-	"repro/internal/slremote"
-	"repro/internal/store"
 )
 
 // leaderProbeInterval paces the follower's liveness probes against its
@@ -28,107 +16,40 @@ import (
 // is alive needs no attestation.
 const leaderProbeInterval = time.Second
 
-type followerParams struct {
-	leaderAddr    string
-	listenAddr    string
-	stateDir      string
-	auditFile     string
-	metricsAddr   string
-	traceBuffer   int
-	shard         int
-	dir           *cluster.Directory
-	promoteAfter  time.Duration
-	sealKey       seccrypto.Key
-	cfg           slremote.Config
-	service       *attest.Service
-	insecure      bool
-	secret        string
-	secretFile    string
-	syncMode      store.SyncMode
-	snapshotEvery int
-	drainTimeout  time.Duration
-}
-
-// runFollower is the daemon's standby mode: tail the leader's WAL over
-// the attested channel, keep a warm replica, and — once the leader stays
+// standBy is the daemon's standby phase: tail the leader's WAL over the
+// attested channel rc, keep a warm replica, and — once the leader stays
 // unreachable for promoteAfter — finish replaying whatever was shipped
-// and take over the shard on this daemon's own listen address.
-func runFollower(p followerParams) error {
-	rc, err := followerChannelConfig(p.insecure, p.secret, p.secretFile)
-	if err != nil {
-		return err
-	}
-
-	// The follower's observability bundle survives promotion: the same
-	// registry, span ring, and flight recorder keep counting once this
-	// process serves the shard, so the failover timeline (probe timeout
-	// → drain → promote → epoch bump) lives in one black box.
-	nodeObs := cluster.NewNodeObs("sl-remote-follower", p.traceBuffer)
-	quit := make(chan os.Signal, 1)
-	signal.Notify(quit, syscall.SIGQUIT)
-	defer signal.Stop(quit)
-	go func() {
-		for range quit {
-			nodeObs.Flight.DumpText(os.Stderr)
-		}
-	}()
-	var promoted atomic.Bool
-	if p.metricsAddr != "" {
-		ep, err := obs.StartHTTPOpts(p.metricsAddr, nodeObs.Registry, nodeObs.Tracer, obs.HandlerOptions{
-			// A follower is "ready" only once it serves the shard itself.
-			Ready:  promoted.Load,
-			Events: nodeObs.Flight.HTTPHandler(),
-		})
-		if err != nil {
-			return err
-		}
-		defer ep.Close()
-		log.Printf("observability endpoint on http://%s/metrics (readyz turns 200 on promotion)", ep.Addr())
-	}
-
-	// The shard's audit chain: the promoted leader appends to the same
-	// file the dead leader used, keeping one verifiable chain across
-	// incarnations when both ran on this host.
-	auditPath := p.auditFile
-	if auditPath == "" {
-		auditPath = filepath.Join(p.stateDir, "audit.log")
-	}
-	auditLog, err := audit.Open(auditPath, p.sealKey)
-	if err != nil {
-		return err
-	}
-	defer auditLog.Close()
-
+// and take over the shard as the node opts describes. The bundle in
+// opts.Obs rides along, so the failover timeline (probe timeout → drain →
+// promote → epoch bump) lives in one black box. A stop that arrives first
+// ends the standby without a node: the leader keeps serving.
+func standBy(leaderAddr string, promoteAfter time.Duration, rc *ratls.Config, opts cluster.NodeOptions, stop <-chan os.Signal) (*cluster.Node, error) {
 	f, err := cluster.StartFollower(cluster.FollowerOptions{
-		Shard:      p.shard,
-		LeaderAddr: p.leaderAddr,
-		SealKey:    p.sealKey,
-		Config:     p.cfg,
-		Service:    p.service,
+		Shard:      opts.Shard,
+		LeaderAddr: leaderAddr,
+		SealKey:    opts.SealKey,
+		Config:     opts.Config,
+		Service:    opts.Service,
 		Channel:    rc,
-		Obs:        nodeObs,
+		Obs:        opts.Obs,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	log.Printf("sl-remote: follower of %s (shard %d): tailing WAL, promoting after %v of leader silence",
-		p.leaderAddr, p.shard, p.promoteAfter)
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sigs)
+		leaderAddr, opts.Shard, promoteAfter)
 
 	probe := time.NewTicker(leaderProbeInterval)
 	defer probe.Stop()
 	var silentSince time.Time
 	for {
 		select {
-		case sig := <-sigs:
+		case sig := <-stop:
 			log.Printf("sl-remote: follower: %v: exiting (%d records replicated; leader keeps serving)", sig, f.Applied())
-			return f.Close()
+			return nil, f.Close()
 		case <-probe.C:
 		}
-		conn, err := net.DialTimeout("tcp", p.leaderAddr, leaderProbeInterval)
+		conn, err := net.DialTimeout("tcp", leaderAddr, leaderProbeInterval)
 		if err == nil {
 			conn.Close()
 			silentSince = time.Time{}
@@ -136,13 +57,13 @@ func runFollower(p followerParams) error {
 		}
 		if silentSince.IsZero() {
 			silentSince = time.Now()
-			log.Printf("sl-remote: follower: leader %s unreachable: %v", p.leaderAddr, err)
+			log.Printf("sl-remote: follower: leader %s unreachable: %v", leaderAddr, err)
 		}
-		if time.Since(silentSince) < p.promoteAfter {
+		if time.Since(silentSince) < promoteAfter {
 			continue
 		}
 		log.Printf("sl-remote: follower: leader silent for %v: promoting", time.Since(silentSince).Round(time.Second))
-		cluster.EmitProbeTimeout(nodeObs.Flight, p.shard, p.leaderAddr, time.Since(silentSince))
+		cluster.EmitProbeTimeout(opts.Obs.Flight, opts.Shard, leaderAddr, time.Since(silentSince))
 		break
 	}
 
@@ -150,63 +71,13 @@ func runFollower(p followerParams) error {
 	// dead, until the connection fails, leaving exactly the prefix the
 	// leader managed to ship, which is a legal conserving state.
 	if err := f.Drain(); err != nil {
-		return fmt.Errorf("draining replication stream: %w", err)
+		return nil, fmt.Errorf("draining replication stream: %w", err)
 	}
-	serverRC, err := channelConfig(p.insecure, p.secret, p.secretFile, true)
+	node, err := f.Promote(opts)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("promoting follower: %w", err)
 	}
-	node, err := f.Promote(cluster.NodeOptions{
-		Shard:         p.shard,
-		Dir:           p.stateDir,
-		SealKey:       p.sealKey,
-		Config:        p.cfg,
-		Service:       p.service,
-		Channel:       serverRC,
-		Directory:     p.dir,
-		Audit:         auditLog,
-		SyncMode:      p.syncMode,
-		SnapshotEvery: p.snapshotEvery,
-		ListenAddr:    p.listenAddr,
-		AdvertiseAddr: p.listenAddr,
-		Logf:          log.Printf,
-	})
-	if err != nil {
-		return fmt.Errorf("promoting follower: %w", err)
-	}
-	promoted.Store(true)
-	_, epoch := p.dir.Leader(p.shard)
-	log.Printf("sl-remote: promoted: serving shard %d on %s at epoch %d (%d replicated records)",
-		p.shard, node.Addr(), epoch, f.Applied())
-
-	sig := <-sigs
-	log.Printf("sl-remote: %v: draining (timeout %v)", sig, p.drainTimeout)
-	ctx, cancel := context.WithTimeout(context.Background(), p.drainTimeout)
-	defer cancel()
-	if err := node.Shutdown(ctx); err != nil {
-		return err
-	}
-	if err := nodeObs.Flight.Persist(filepath.Join(p.stateDir, "flight.log")); err != nil {
-		log.Printf("sl-remote: persisting flight recorder: %v", err)
-	}
-	log.Printf("sl-remote: state snapshotted to %s; shutdown complete", p.stateDir)
-	return nil
-}
-
-// followerChannelConfig builds the replication client's channel: the
-// follower presents the SL-Remote code identity (it is one) and pins the
-// leader's.
-func followerChannelConfig(insecure bool, secret, secretFile string) (*ratls.Config, error) {
-	if insecure {
-		return ratls.Insecure(), nil
-	}
-	raw, err := loadChannelSecret(secret, secretFile)
-	if err != nil {
-		return nil, err
-	}
-	m, err := sgx.NewMachine(sgx.MachineConfig{Name: "sl-remote-follower"})
-	if err != nil {
-		return nil, err
-	}
-	return ratls.NewProvisioned("sl-remote-follower", m, raw, slremote.EnclaveCodeIdentity, slremote.EnclaveCodeIdentity)
+	_, epoch := opts.Directory.Leader(opts.Shard)
+	log.Printf("sl-remote: promoted: serving shard %d at epoch %d (%d replicated records)", opts.Shard, epoch, f.Applied())
+	return node, nil
 }

@@ -48,6 +48,16 @@
 // per-process in this reproduction — production would share it through a
 // coordination service — so peers learn of the promotion by restarting
 // with an updated -peer list.)
+//
+// # Composition
+//
+// The daemon composes nothing itself. store → recovery → audit chain →
+// wire server → shard gate → replication source → observability →
+// listener → drain/snapshot/close is cluster.Node, the same composition
+// the tests exercise and bench/ measures, whether the node started as a
+// leader or promoted from a standby. What stays here is what only a
+// process has: flags, -license pre-registration, readiness, session-ticket
+// rotation, and signals.
 package main
 
 import (
@@ -57,7 +67,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -80,7 +89,6 @@ import (
 	"repro/internal/sllocal"
 	"repro/internal/slremote"
 	"repro/internal/store"
-	"repro/internal/wire"
 )
 
 type stringFlags []string
@@ -92,59 +100,73 @@ func (l *stringFlags) Set(v string) error {
 }
 
 func main() {
-	if err := run(); err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	if err := run(flag.CommandLine, os.Args[1:], stop, nil); err != nil {
 		cli.Fatalf("sl-remote: %v", err)
 	}
 }
 
-func run() error {
+// run is the daemon's whole life, leader and standby alike: parse flags,
+// bring observability up, serve through one cluster.Node until stop
+// fires, drain, snapshot. serving (nil outside tests) is handed the node
+// at the moment /readyz turns 200.
+func run(fs *flag.FlagSet, args []string, stop <-chan os.Signal, serving func(*cluster.Node)) error {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:7600", "listen address")
-		metricsAddr = flag.String("metrics-addr", "", "observability endpoint address (/metrics, /healthz, /readyz, /trace, /events, /audit); empty disables")
-		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the observability endpoint")
-		traceBuffer = flag.Int("trace-buffer", 4096, "span ring-buffer capacity; /trace marks the dump truncated once the ring wraps")
+		addr        = fs.String("addr", "127.0.0.1:7600", "listen address")
+		metricsAddr = fs.String("metrics-addr", "", "observability endpoint address (/metrics, /healthz, /readyz, /trace, /events, /audit); empty disables")
+		pprofOn     = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the observability endpoint")
+		traceBuffer = fs.Int("trace-buffer", 4096, "span ring-buffer capacity; /trace marks the dump truncated once the ring wraps")
 
-		d        = flag.Float64("d", 4, "Algorithm 1 scale-down factor D (paper: 4)")
-		th       = flag.Float64("th", 0.9, "health threshold T_H (paper: 0.9)")
-		beta     = flag.Float64("beta", 0.01, "initial beta (paper: 0.01)")
-		tau      = flag.Float64("tau", 0.10, "expected-loss bound as fraction of TG (paper: 0.10)")
-		open     = flag.Bool("open-attestation", true, "accept any platform/measurement (demo mode; disable to require explicit enrollment)")
+		d        = fs.Float64("d", 4, "Algorithm 1 scale-down factor D (paper: 4)")
+		th       = fs.Float64("th", 0.9, "health threshold T_H (paper: 0.9)")
+		beta     = fs.Float64("beta", 0.01, "initial beta (paper: 0.01)")
+		tau      = fs.Float64("tau", 0.10, "expected-loss bound as fraction of TG (paper: 0.10)")
+		open     = fs.Bool("open-attestation", true, "accept any platform/measurement (demo mode; disable to require explicit enrollment)")
 		licenses stringFlags
 
-		shards       = flag.Int("shards", 1, "total shard count of the cluster this server belongs to (1: unsharded)")
-		shardIndex   = flag.Int("shard-index", 0, "this server's shard index in [0, shards)")
+		shards       = fs.Int("shards", 1, "total shard count of the cluster this server belongs to (1: unsharded)")
+		shardIndex   = fs.Int("shard-index", 0, "this server's shard index in [0, shards)")
 		peers        stringFlags
-		follow       = flag.String("follow", "", "follower mode: tail this shard leader's WAL over the wire and promote to serving leader if it dies (requires -state-dir)")
-		promoteAfter = flag.Duration("promote-after", 5*time.Second, "follower mode: promote once the leader has been unreachable this long")
+		follow       = fs.String("follow", "", "follower mode: tail this shard leader's WAL over the wire and promote to serving leader if it dies (requires -state-dir)")
+		promoteAfter = fs.Duration("promote-after", 5*time.Second, "follower mode: promote once the leader has been unreachable this long")
 
-		stateDir       = flag.String("state-dir", "", "directory for the durable state (WAL + snapshots); empty runs in-memory only")
-		fsync          = flag.String("fsync", "batched", "WAL durability: always (fsync per record), batched (group commit), off (no fsync)")
-		snapshotEvery  = flag.Int("snapshot-every", 1024, "take a snapshot and compact the WAL after this many logged records; 0 snapshots only at shutdown")
-		sealSecret     = flag.String("seal-secret", "", "secret sealing escrowed root keys and snapshots on disk (stands in for the SGX sealing key; required with -state-dir)")
-		sealSecretFile = flag.String("seal-secret-file", "", "read the seal secret from this file instead of the command line")
-		auditFile      = flag.String("audit-file", "", "tamper-evident lease audit log path, a store directory (defaults to <state-dir>/audit.log with -state-dir; requires the seal secret)")
-		drainTimeout   = flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests before force-closing connections")
+		stateDir       = fs.String("state-dir", "", "directory for the durable state (WAL + snapshots); empty runs in-memory only")
+		fsync          = fs.String("fsync", "batched", "WAL durability: always (fsync per record), batched (group commit), off (no fsync)")
+		snapshotEvery  = fs.Int("snapshot-every", 1024, "take a snapshot and compact the WAL after this many logged records; 0 snapshots only at shutdown")
+		sealSecret     = fs.String("seal-secret", "", "secret sealing escrowed root keys and snapshots on disk (stands in for the SGX sealing key; required with -state-dir)")
+		sealSecretFile = fs.String("seal-secret-file", "", "read the seal secret from this file instead of the command line")
+		auditFile      = fs.String("audit-file", "", "tamper-evident lease audit log path, a store directory (defaults to <state-dir>/audit.log with -state-dir; requires the seal secret)")
+		drainTimeout   = fs.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests before force-closing connections")
 
-		insecure        = flag.Bool("insecure", false, "speak explicit plaintext on the wire channel instead of the attested (RA-TLS) default; both daemons must agree")
-		ratlsSecret     = flag.String("ratls-secret", "", "shared provisioning secret for the attested channel (both daemons must use the same secret)")
-		ratlsSecretFile = flag.String("ratls-secret-file", "", "read the channel provisioning secret from this file instead of the command line")
-		ticketRotate    = flag.Duration("ratls-ticket-rotate", 0, "rotate the session-ticket secret at this interval, forcing resumed clients back through a full quote-verified handshake; 0 never rotates")
+		insecure        = fs.Bool("insecure", false, "speak explicit plaintext on the wire channel instead of the attested (RA-TLS) default; both daemons must agree")
+		ratlsSecret     = fs.String("ratls-secret", "", "shared provisioning secret for the attested channel (both daemons must use the same secret)")
+		ratlsSecretFile = fs.String("ratls-secret-file", "", "read the channel provisioning secret from this file instead of the command line")
+		ticketRotate    = fs.Duration("ratls-ticket-rotate", 0, "rotate the session-ticket secret at this interval, forcing resumed clients back through a full quote-verified handshake; 0 never rotates")
 	)
-	flag.Var(&licenses, "license", licenseFlagHelp)
-	flag.Var(&peers, "peer", "shard leader address, repeated once per shard in shard order; required when -shards > 1")
-	flag.Parse()
+	fs.Var(&licenses, "license", licenseFlagHelp)
+	fs.Var(&peers, "peer", "shard leader address, repeated once per shard in shard order; required when -shards > 1")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	specs, err := parseLicenses(licenses)
 	if err != nil {
 		return err
 	}
+	if *follow != "" && *stateDir == "" {
+		return errors.New("-follow requires -state-dir: the promoted leader's durable state lives there")
+	}
+	mode, err := store.ParseSyncMode(*fsync)
+	if err != nil {
+		return err
+	}
 
 	// Sharded deployments build a static routing directory from the -peer
-	// list; the wire layer's shard gate consults it on every
-	// license-scoped request.
-	sharded := *shards > 1 || len(peers) > 0 || *follow != ""
+	// list; the node's shard gate consults it on every license-scoped
+	// request.
 	var clusterDir *cluster.Directory
-	if sharded {
+	if *shards > 1 || len(peers) > 0 || *follow != "" {
 		if *shardIndex < 0 || *shardIndex >= *shards {
 			return fmt.Errorf("-shard-index %d out of range [0, %d)", *shardIndex, *shards)
 		}
@@ -170,66 +192,24 @@ func run() error {
 		service = attest.NewService()
 		log.Printf("attestation service enabled: enroll platforms before clients can init")
 	}
-	cfg := slremote.Config{
-		D:               *d,
-		HealthThreshold: *th,
-		Beta:            *beta,
-		TauFraction:     *tau,
-	}
 
-	if *follow != "" {
-		if *stateDir == "" {
-			return errors.New("-follow requires -state-dir: the promoted leader's durable state lives there")
-		}
-		if len(specs) > 0 {
-			log.Printf("ignoring %d -license flags: follower state replicates from the leader", len(specs))
-		}
-		sealKey, err := loadSealKey(*sealSecret, *sealSecretFile)
-		if err != nil {
-			return err
-		}
-		mode, err := store.ParseSyncMode(*fsync)
-		if err != nil {
-			return err
-		}
-		return runFollower(followerParams{
-			leaderAddr:    *follow,
-			listenAddr:    *addr,
-			stateDir:      *stateDir,
-			auditFile:     *auditFile,
-			metricsAddr:   *metricsAddr,
-			traceBuffer:   *traceBuffer,
-			shard:         *shardIndex,
-			dir:           clusterDir,
-			promoteAfter:  *promoteAfter,
-			sealKey:       sealKey,
-			cfg:           cfg,
-			service:       service,
-			insecure:      *insecure,
-			secret:        *ratlsSecret,
-			secretFile:    *ratlsSecretFile,
-			syncMode:      mode,
-			snapshotEvery: *snapshotEvery,
-			drainTimeout:  *drainTimeout,
-		})
-	}
-
-	// Instrumentation is always on: the registry and span ring feed the
-	// HTTP endpoint when -metrics-addr is set, and the wire obs_pull RPC
-	// (fleet scraping over the attested channel) regardless. The flight
-	// recorder is the always-on black box: SIGQUIT dumps it to stderr,
-	// and a graceful shutdown persists it next to the WAL.
-	reg, tracer := obs.Default(), obs.NewTracer(*traceBuffer)
-	rec := flight.NewRecorder(flight.DefaultCapacity)
-	tracer.ExposeMetrics(reg)
-	rec.ExposeMetrics(reg)
+	// Instrumentation is always on, and it follows the process, not the
+	// role: one bundle feeds the HTTP endpoint when -metrics-addr is set
+	// and the wire obs_pull RPC regardless, before and after a standby
+	// promotes. The flight recorder is the always-on black box: SIGQUIT
+	// dumps it to stderr, and every exit persists it next to the WAL.
+	nodeObs := cluster.NewNodeObs("sl-remote", *traceBuffer)
+	defer nodeObs.Close()
 	quit := make(chan os.Signal, 1)
 	signal.Notify(quit, syscall.SIGQUIT)
-	defer signal.Stop(quit)
 	go func() {
 		for range quit {
-			rec.DumpText(os.Stderr)
+			nodeObs.Flight.DumpText(os.Stderr)
 		}
+	}()
+	defer func() {
+		signal.Stop(quit)
+		close(quit)
 	}()
 
 	// The seal key protects both the durable state and the audit log.
@@ -241,8 +221,9 @@ func run() error {
 		}
 	}
 
-	// Open the audit log before anything mutates state so the chain covers
-	// every decision of this process's lifetime.
+	// The shard's audit chain outlives any one leader: a promoted standby
+	// appends to the same directory the dead leader used, keeping one
+	// verifiable chain across incarnations when both ran on this host.
 	auditPath := *auditFile
 	if auditPath == "" && *stateDir != "" {
 		auditPath = filepath.Join(*stateDir, "audit.log")
@@ -259,107 +240,115 @@ func run() error {
 
 	// The observability endpoint comes up before recovery so /healthz
 	// answers as soon as the process lives while /readyz stays 503 until
-	// the WAL/snapshot replay finishes and the wire listener is bound.
+	// this process serves the shard itself: after the WAL/snapshot replay
+	// for a leader, after promotion for a standby.
 	var ready atomic.Bool
-	var ep *obs.HTTPServer
 	if *metricsAddr != "" {
-		opts := obs.HandlerOptions{Ready: ready.Load, PProf: *pprofOn, Events: rec.HTTPHandler()}
+		opts := obs.HandlerOptions{Ready: ready.Load, PProf: *pprofOn}
 		if auditLog != nil {
 			opts.Audit = auditLog.HTTPHandler()
 		}
-		ep, err = obs.StartHTTPOpts(*metricsAddr, reg, tracer, opts)
-		if err != nil {
+		if err := nodeObs.Serve(*metricsAddr, opts); err != nil {
 			return err
 		}
-		defer ep.Close()
-		log.Printf("observability endpoint on http://%s/metrics", ep.Addr())
+		log.Printf("observability endpoint on %s/metrics", nodeObs.URL())
 	}
 
-	// Stand up the server: recovered from -state-dir when given, purely
-	// in-memory otherwise.
-	var remote *slremote.Server
-	var st *store.Store
+	// Sharded servers additionally trust the SL-Remote code identity
+	// itself, since peer shards and followers connect over the same channel.
+	trusted := [][]byte{sllocal.EnclaveCodeIdentity}
+	if clusterDir != nil {
+		trusted = append(trusted, slremote.EnclaveCodeIdentity)
+	}
+	rc, err := channelConfig("sl-remote", *insecure, *ratlsSecret, *ratlsSecretFile, trusted...)
+	if err != nil {
+		return err
+	}
+	if rc.IsInsecure() {
+		log.Printf("wire channel: explicit plaintext (-insecure)")
+	} else {
+		log.Printf("wire channel: attested (RA-TLS), presenting %s", slremote.EnclaveCodeIdentity)
+	}
+
+	// Stand the node up: a leader serves at once (recovered from
+	// -state-dir when given, purely in-memory otherwise); a standby tails
+	// its leader and serves once it has promoted.
+	opts := cluster.NodeOptions{
+		Shard:         *shardIndex,
+		Dir:           *stateDir,
+		SealKey:       sealKey,
+		Config:        slremote.Config{D: *d, HealthThreshold: *th, Beta: *beta, TauFraction: *tau},
+		Service:       service,
+		Channel:       rc,
+		Directory:     clusterDir,
+		Audit:         auditLog,
+		SyncMode:      mode,
+		SnapshotEvery: *snapshotEvery,
+		Obs:           nodeObs,
+		ListenAddr:    *addr,
+		Logf:          log.Printf,
+	}
 	if *stateDir != "" {
-		mode, err := store.ParseSyncMode(*fsync)
+		// The black box lands next to the WAL on every exit from here on,
+		// a standby stopped before promoting included: a post-mortem can
+		// replay the process's last DefaultCapacity events with
+		// flight.ReadDump.
+		defer func() {
+			if err := nodeObs.Flight.Persist(filepath.Join(*stateDir, "flight.log")); err != nil {
+				log.Printf("sl-remote: persisting flight recorder: %v", err)
+			}
+		}()
+	}
+	var node *cluster.Node
+	if *follow != "" {
+		// The follower presents the SL-Remote code identity (it is one)
+		// and pins the leader's.
+		replRC, err := channelConfig("sl-remote-follower", *insecure, *ratlsSecret, *ratlsSecretFile, slremote.EnclaveCodeIdentity)
 		if err != nil {
 			return err
 		}
-		var rec *store.Recovered
-		st, rec, err = store.Open(store.Options{
-			Dir:     *stateDir,
-			Mode:    mode,
-			Metrics: store.ExposeMetrics(reg),
-		})
-		if err != nil {
+		opts.AdvertiseAddr = *addr
+		node, err = standBy(*follow, *promoteAfter, replRC, opts, stop)
+		if err != nil || node == nil { // nil: told to stop before it promoted
 			return err
-		}
-		defer st.Close()
-		remote, err = slremote.RecoverServer(cfg, service, rec, slremote.PersistConfig{
-			Log: st, Snap: st, SealKey: sealKey, SnapshotEvery: *snapshotEvery,
-		})
-		if err != nil {
-			return err
-		}
-		if !rec.Empty() {
-			log.Printf("recovered state from %s (generation %d, %d WAL records replayed, licenses: %s)",
-				*stateDir, rec.Generation, len(rec.Records), strings.Join(remote.LicenseIDs(), ", "))
 		}
 	} else {
-		remote, err = slremote.NewServer(cfg, service)
+		if clusterDir != nil {
+			// Known to the gate by the address the -peer list uses, which a
+			// wildcard -addr is not.
+			opts.AdvertiseAddr = peers[*shardIndex]
+			log.Printf("shard %d of %d (as %s): requests for other shards' licenses get not_leader redirects", *shardIndex, *shards, opts.AdvertiseAddr)
+		}
+		node, err = cluster.StartNode(opts)
 		if err != nil {
 			return err
 		}
 	}
 
-	// Register -license flags, skipping IDs already present in recovered
-	// state (re-running the same command line after a restart is the
-	// normal deployment pattern).
-	existing := make(map[string]bool)
-	for _, id := range remote.LicenseIDs() {
-		existing[id] = true
-	}
+	// From here on every node is the same, however it got the role.
+	defer node.Kill() // an error return must not leave it serving; a no-op after Shutdown
+
+	// Pre-register the -license flags, skipping IDs already present in
+	// recovered or replicated state (re-running the same command line
+	// after a restart is the normal deployment pattern). The node attached
+	// the audit chain before it started serving, so every registration
+	// lands on it as an issue record.
 	for _, spec := range specs {
-		if existing[spec.id] {
+		if _, err := node.Remote().License(spec.id); err == nil {
 			log.Printf("license %q already in recovered state; flag ignored", spec.id)
 			continue
 		}
-		if err := remote.RegisterLicense(spec.id, spec.kind, spec.total); err != nil {
+		if err := node.Remote().RegisterLicense(spec.id, spec.kind, spec.total); err != nil {
 			return err
 		}
 		log.Printf("registered license %q (%s, %d GCL units)", spec.id, spec.kind, spec.total)
 	}
+	ready.Store(true)
+	log.Printf("sl-remote: listening on %s", node.Addr())
+	if serving != nil {
+		serving(node)
+	}
 
-	remote.AttachAudit(auditLog)
-
-	rc, err := channelConfig(*insecure, *ratlsSecret, *ratlsSecretFile, sharded)
-	if err != nil {
-		return err
-	}
-	srv, err := wire.NewServer(remote, log.Printf, rc)
-	if err != nil {
-		return err
-	}
-	if clusterDir != nil {
-		self := peers[*shardIndex]
-		srv.SetShardGate(clusterDir.Gate(*shardIndex, self))
-		log.Printf("shard %d of %d (as %s): requests for other shards' licenses get not_leader redirects", *shardIndex, *shards, self)
-		if st != nil {
-			srv.SetReplSource(st)
-			log.Printf("replication source enabled: followers may tail this shard's WAL")
-		}
-	}
-	remote.ExposeMetrics(reg)
-	srv.ExposeMetrics(reg, tracer)
-	auditLog.ExposeMetrics(reg)
-	rc.ExposeMetrics(reg, tracer)
-	remote.SetFlightRecorder(rec)
-	srv.SetFlightRecorder(rec)
-	rc.SetFlightRecorder(rec)
-	// The wire listener answers obs_pull scrapes with the same exposition
-	// the HTTP endpoint serves, so a fleet aggregator can pull metrics,
-	// traces, and flight events over the attested channel alone.
-	nodeObs := &cluster.NodeObs{Name: "sl-remote", Registry: reg, Tracer: tracer, Flight: rec}
-	srv.SetObsSource(nodeObs.PullSource())
 	if *ticketRotate > 0 && !rc.IsInsecure() {
 		rotateDone := make(chan struct{})
 		defer close(rotateDone)
@@ -379,66 +368,33 @@ func run() error {
 		}()
 		log.Printf("rotating session-ticket secret every %v", *ticketRotate)
 	}
-	if rc.IsInsecure() {
-		log.Printf("wire channel: explicit plaintext (-insecure)")
-	} else {
-		log.Printf("wire channel: attested (RA-TLS), presenting %s", slremote.EnclaveCodeIdentity)
-	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return fmt.Errorf("listen %s: %w", *addr, err)
-	}
-	ready.Store(true)
-	log.Printf("sl-remote: listening on %s", ln.Addr())
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sigs)
-
+	var serveErr error
 	select {
-	case err := <-serveErr:
-		return err
-	case sig := <-sigs:
+	case <-node.Done():
+		// The listener died under us: still drain and snapshot, but exit
+		// non-zero.
+		serveErr = node.Err()
+	case sig := <-stop:
 		log.Printf("sl-remote: %v: draining (timeout %v)", sig, *drainTimeout)
-		rec.Emit("slremote.shutdown", flight.KV{K: "signal", V: sig.String()})
+		nodeObs.Flight.Emit("slremote.shutdown", flight.KV{K: "signal", V: sig.String()})
 	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Printf("sl-remote: drain incomplete: %v", err)
-	}
-	<-serveErr
-	if st != nil {
-		if err := remote.SnapshotNow(); err != nil {
-			return fmt.Errorf("final snapshot: %w", err)
-		}
-		if err := st.Close(); err != nil {
-			return fmt.Errorf("closing state: %w", err)
-		}
-		log.Printf("sl-remote: state snapshotted to %s", *stateDir)
+	if err := node.Shutdown(ctx); err != nil {
+		return err
 	}
 	if *stateDir != "" {
-		// The black box lands next to the WAL: a post-mortem can replay
-		// the process's last DefaultCapacity events with flight.ReadDump.
-		if err := rec.Persist(filepath.Join(*stateDir, "flight.log")); err != nil {
-			log.Printf("sl-remote: persisting flight recorder: %v", err)
-		}
+		log.Printf("sl-remote: state snapshotted to %s", *stateDir)
 	}
 	log.Printf("sl-remote: shutdown complete")
-	return nil
+	return serveErr
 }
 
-// channelConfig builds the server's wire-channel config: RA-TLS by
-// default (presenting the SL-Remote code identity on a dedicated channel
-// machine, pinning SL-Local's), plaintext only behind -insecure. Sharded
-// servers additionally trust the SL-Remote code identity itself, since
-// peer shards and followers connect over the same channel.
-func channelConfig(insecure bool, secret, secretFile string, sharded bool) (*ratls.Config, error) {
+// channelConfig builds one wire-channel config: RA-TLS by default — a
+// dedicated channel machine called name presenting the SL-Remote code
+// identity and pinning the trusted ones — plaintext only behind -insecure.
+func channelConfig(name string, insecure bool, secret, secretFile string, trusted ...[]byte) (*ratls.Config, error) {
 	if insecure {
 		return ratls.Insecure(), nil
 	}
@@ -446,15 +402,11 @@ func channelConfig(insecure bool, secret, secretFile string, sharded bool) (*rat
 	if err != nil {
 		return nil, err
 	}
-	m, err := sgx.NewMachine(sgx.MachineConfig{Name: "sl-remote"})
+	m, err := sgx.NewMachine(sgx.MachineConfig{Name: name})
 	if err != nil {
 		return nil, err
 	}
-	trusted := [][]byte{sllocal.EnclaveCodeIdentity}
-	if sharded {
-		trusted = append(trusted, slremote.EnclaveCodeIdentity)
-	}
-	return ratls.NewProvisioned("sl-remote", m, raw, slremote.EnclaveCodeIdentity, trusted...)
+	return ratls.NewProvisioned(name, m, raw, slremote.EnclaveCodeIdentity, trusted...)
 }
 
 // loadChannelSecret resolves the -ratls-secret[-file] flags; the attested

@@ -23,8 +23,6 @@ import (
 type Options struct {
 	// Shards is the number of hash ranges (and leader servers).
 	Shards int
-	// Vnodes per shard on the placement ring (0: DefaultVnodes).
-	Vnodes int
 	// Dir is the root state directory; each shard incarnation gets a
 	// subdirectory.
 	Dir string
@@ -107,7 +105,7 @@ func New(opts Options) (*Cluster, error) {
 	if opts.NewChannel == nil {
 		opts.NewChannel = func(string) (*ratls.Config, error) { return ratls.Insecure(), nil }
 	}
-	ring, err := NewRing(opts.Shards, opts.Vnodes)
+	ring, err := NewRing(opts.Shards, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +154,7 @@ func (c *Cluster) newNodeObs(name string) (*NodeObs, error) {
 		return nil, nil
 	}
 	o := NewNodeObs(name, c.opts.TraceBuffer)
-	if err := o.Serve(); err != nil {
+	if err := o.Serve("127.0.0.1:0", obs.HandlerOptions{}); err != nil {
 		return nil, fmt.Errorf("cluster: obs endpoint for %s: %w", name, err)
 	}
 	c.obsMu.Lock()
@@ -236,9 +234,6 @@ func (c *Cluster) startFollower(s *shardState, shard int, leaderAddr string) (*F
 func (c *Cluster) incarnationDir(shard, incarnation int) string {
 	return filepath.Join(c.opts.Dir, fmt.Sprintf("shard-%d-n%d", shard, incarnation))
 }
-
-// Ring returns the placement ring.
-func (c *Cluster) Ring() *Ring { return c.ring }
 
 // Directory returns the routing directory.
 func (c *Cluster) Directory() *Directory { return c.dir }

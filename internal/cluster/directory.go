@@ -31,9 +31,6 @@ func NewDirectory(ring *Ring) *Directory {
 	}
 }
 
-// Ring returns the placement ring the directory routes over.
-func (d *Directory) Ring() *Ring { return d.ring }
-
 // SetLeader makes addr the leader of shard and bumps the shard's epoch,
 // returning the new epoch.
 func (d *Directory) SetLeader(shard int, addr string) uint64 {

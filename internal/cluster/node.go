@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 
 	"repro/internal/attest"
 	"repro/internal/audit"
@@ -20,7 +21,8 @@ type NodeOptions struct {
 	Shard int
 	// Dir is the node's own state directory (WAL + snapshots). Every
 	// incarnation of a shard gets a fresh directory: a promoted follower
-	// never writes into its dead leader's files.
+	// never writes into its dead leader's files. Empty runs the server in
+	// memory: no store, no replication source, no final snapshot.
 	Dir string
 	// SealKey seals snapshots, escrow records, and the audit chain. One
 	// key per cluster — shipped snapshots must unseal on the follower.
@@ -33,7 +35,8 @@ type NodeOptions struct {
 	// insecure). Each node needs its own config instance.
 	Channel *ratls.Config
 	// Directory resolves shard ownership; the node's gate consults it on
-	// every license-scoped request.
+	// every license-scoped request. Nil serves ungated: an unsharded
+	// server owns every license.
 	Directory *Directory
 	// Audit is the shard's tamper-evident lease audit chain (nil: none).
 	// It outlives any one leader: a promoted follower appends to the same
@@ -63,25 +66,32 @@ type NodeOptions struct {
 	Logf func(string, ...any)
 }
 
-// Node is one running shard server: a durable slremote.Server behind a
-// wire listener, gated by the cluster directory and exposing its WAL as a
-// replication source.
+// Node is one running shard server: an slremote.Server behind a wire
+// listener, gated by the cluster directory and exposing its WAL as a
+// replication source. It is the only composition of those layers: the
+// cluster, the benchmark, and the sl-remote daemon all serve through it.
 type Node struct {
-	shard  int
-	dir    string
-	addr   string
-	store  *store.Store
-	remote *slremote.Server
-	wsrv   *wire.Server
-	obs    *NodeObs
-	done   chan struct{}
-	killed bool
+	shard    int
+	addr     string
+	store    *store.Store // nil: in-memory
+	remote   *slremote.Server
+	wsrv     *wire.Server
+	obs      *NodeObs
+	done     chan struct{}
+	serveErr error // why the accept loop ended; read after done
+	killed   bool
 }
 
-// StartNode opens (or recovers) the node's store, stands the server up on
-// a loopback listener, and registers it as its shard's leader in the
-// directory.
+// StartNode opens (or recovers) the node's store and starts serving on
+// opts.ListenAddr. The caller registers the node in the directory.
 func StartNode(opts NodeOptions) (*Node, error) {
+	if opts.Dir == "" {
+		remote, err := slremote.NewServer(opts.Config, opts.Service)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: shard %d server: %w", opts.Shard, err)
+		}
+		return serveNode(opts, nil, remote)
+	}
 	st, rec, err := store.Open(store.Options{
 		Dir: opts.Dir, Mode: opts.SyncMode, Metrics: opts.Obs.StoreMetrics(),
 	})
@@ -95,6 +105,10 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		st.Close()
 		return nil, fmt.Errorf("cluster: shard %d server: %w", opts.Shard, err)
 	}
+	if opts.Logf != nil && !rec.Empty() {
+		opts.Logf("recovered state from %s (generation %d, %d WAL records replayed, licenses: %s)",
+			opts.Dir, rec.Generation, len(rec.Records), strings.Join(remote.LicenseIDs(), ", "))
+	}
 	n, err := serveNode(opts, st, remote)
 	if err != nil {
 		st.Close()
@@ -105,7 +119,9 @@ func StartNode(opts NodeOptions) (*Node, error) {
 
 // serveNode wraps an already-built server in the wire layer and starts
 // serving; StartNode and Follower.Promote share it so a promoted follower
-// is indistinguishable from a freshly started leader.
+// is indistinguishable from a freshly started leader. The audit chain is
+// attached before anything can mutate the server, so it covers every
+// decision of the node's lifetime.
 func serveNode(opts NodeOptions, st *store.Store, remote *slremote.Server) (*Node, error) {
 	remote.AttachAudit(opts.Audit)
 	wsrv, err := wire.NewServer(remote, opts.Logf, opts.Channel)
@@ -140,7 +156,6 @@ func serveNode(opts NodeOptions, st *store.Store, remote *slremote.Server) (*Nod
 	}
 	n := &Node{
 		shard:  opts.Shard,
-		dir:    opts.Dir,
 		addr:   addr,
 		store:  st,
 		remote: remote,
@@ -148,27 +163,34 @@ func serveNode(opts NodeOptions, st *store.Store, remote *slremote.Server) (*Nod
 		obs:    opts.Obs,
 		done:   make(chan struct{}),
 	}
-	wsrv.SetShardGate(opts.Directory.Gate(opts.Shard, n.addr))
-	wsrv.SetReplSource(st)
+	if opts.Directory != nil {
+		wsrv.SetShardGate(opts.Directory.Gate(opts.Shard, n.addr))
+	}
+	if st != nil {
+		wsrv.SetReplSource(st)
+	}
 	go func() {
 		defer close(n.done)
-		_ = wsrv.Serve(ln)
+		n.serveErr = wsrv.Serve(ln)
 	}()
 	return n, nil
 }
 
-// Addr is the node's listen address.
+// Addr is the address the node is known by: AdvertiseAddr when set, the
+// bound listener address otherwise.
 func (n *Node) Addr() string { return n.addr }
 
-// Shard is the hash range the node serves.
-func (n *Node) Shard() int { return n.shard }
-
 // Remote is the node's SL-Remote instance; harnesses drive it directly to
-// skip the wire layer.
+// skip the wire layer, and the daemon pre-registers licenses through it.
 func (n *Node) Remote() *slremote.Server { return n.remote }
 
-// Store is the node's WAL store — the replication source followers tail.
-func (n *Node) Store() *store.Store { return n.store }
+// Done is closed once the node has stopped serving — after Kill or
+// Shutdown, or because the listener died under it. Err tells which.
+func (n *Node) Done() <-chan struct{} { return n.done }
+
+// Err is why the accept loop ended: nil after Kill or Shutdown, the
+// listener's error otherwise. Valid once Done is closed.
+func (n *Node) Err() error { return n.serveErr }
 
 // Obs is the node's observability bundle (nil when unobserved).
 func (n *Node) Obs() *NodeObs { return n.obs }
@@ -189,8 +211,8 @@ func (n *Node) Kill() {
 	n.obs.Close()
 }
 
-// Shutdown drains in-flight requests, snapshots, and closes the store —
-// the graceful exit for end-of-run teardown.
+// Shutdown drains in-flight requests (force-closing the stragglers when
+// ctx expires first), snapshots, and closes the store — the graceful exit.
 func (n *Node) Shutdown(ctx context.Context) error {
 	if n.killed {
 		return nil
@@ -201,6 +223,9 @@ func (n *Node) Shutdown(ctx context.Context) error {
 	}
 	<-n.done
 	n.obs.Close()
+	if n.store == nil {
+		return nil
+	}
 	if err := n.remote.SnapshotNow(); err != nil {
 		return fmt.Errorf("cluster: shard %d final snapshot: %w", n.shard, err)
 	}

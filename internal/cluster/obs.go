@@ -54,14 +54,16 @@ func NewNodeObs(name string, traceBuffer int) *NodeObs {
 	return o
 }
 
-// Serve starts the bundle's HTTP exposition endpoint on an ephemeral
-// loopback port (/metrics, /trace, /events). Idempotent.
-func (o *NodeObs) Serve() error {
+// Serve starts the bundle's HTTP exposition endpoint on addr (/metrics,
+// /healthz, /readyz, /trace, and /events from the bundle's recorder).
+// opts carries what callers differ on: the daemon's readiness gate,
+// /audit handler, and -pprof. Idempotent.
+func (o *NodeObs) Serve(addr string, opts obs.HandlerOptions) error {
 	if o == nil || o.ep != nil {
 		return nil
 	}
-	ep, err := obs.StartHTTPOpts("127.0.0.1:0", o.Registry, o.Tracer,
-		obs.HandlerOptions{Events: o.Flight.HTTPHandler()})
+	opts.Events = o.Flight.HTTPHandler()
+	ep, err := obs.StartHTTPOpts(addr, o.Registry, o.Tracer, opts)
 	if err != nil {
 		return err
 	}

@@ -123,7 +123,7 @@ func TestClusterObserveFleetFailover(t *testing.T) {
 	// The client is a fleet member too: its registry and span ring feed
 	// the same aggregator, so the stitched trace includes the caller side.
 	clientObs := NewNodeObs("client", 64)
-	if err := clientObs.Serve(); err != nil {
+	if err := clientObs.Serve("127.0.0.1:0", obs.HandlerOptions{}); err != nil {
 		t.Fatalf("client obs: %v", err)
 	}
 	defer clientObs.Close()

@@ -210,7 +210,10 @@ func (h *swarmHarness) fatalf(format string, args ...any) {
 // boot opens (or re-opens) the durable SL-Remote: audit log on the real
 // filesystem, WAL through the chaos filesystem, wire server behind the
 // chaos listener. SyncAlways keeps the fault positions deterministic — a
-// group-commit timer would race the op sequence.
+// group-commit timer would race the op sequence. The swarm composes the
+// layers itself where every other test goes through cluster.StartNode:
+// the fault-injecting filesystem and listener are seams a node has no
+// business offering.
 func (h *swarmHarness) boot() {
 	h.t.Helper()
 	aud, err := audit.Open(filepath.Join(h.stateDir, "audit.log"), h.sealKey)

@@ -3,52 +3,43 @@ package integration
 import (
 	"context"
 	"errors"
-	"net"
 	"testing"
 	"time"
 
 	"repro/internal/attest"
+	"repro/internal/cluster"
 	"repro/internal/lease"
 	"repro/internal/ratls"
+	"repro/internal/seccrypto"
 	"repro/internal/sgx"
 	"repro/internal/sllocal"
 	"repro/internal/slremote"
 	"repro/internal/wire"
 )
 
-// ratlsDaemon is one wire-server incarnation speaking a given channel
-// config, the way cmd/sl-remote stands one up.
-type ratlsDaemon struct {
-	srv  *wire.Server
-	addr string
-	done chan struct{}
-}
-
-func startRatlsDaemon(t *testing.T, remote *slremote.Server, rc *ratls.Config) *ratlsDaemon {
+// startRatlsNode starts one incarnation of a durable SL-Remote on dir
+// speaking the channel config rc: cluster.Node, the composition
+// cmd/sl-remote serves through.
+func startRatlsNode(t *testing.T, dir string, sealKey seccrypto.Key, rc *ratls.Config) *cluster.Node {
 	t.Helper()
-	srv, err := wire.NewServer(remote, nil, rc)
+	node, err := cluster.StartNode(cluster.NodeOptions{
+		Dir: dir, SealKey: sealKey, Config: slremote.DefaultConfig(), Channel: rc,
+	})
 	if err != nil {
-		t.Fatalf("wire.NewServer: %v", err)
+		t.Fatalf("StartNode: %v", err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	d := &ratlsDaemon{srv: srv, addr: ln.Addr().String(), done: make(chan struct{})}
-	go func() {
-		defer close(d.done)
-		_ = srv.Serve(ln)
-	}()
-	t.Cleanup(func() { d.stop(t) })
-	return d
+	t.Cleanup(func() { shutdownNode(t, node) })
+	return node
 }
 
-func (d *ratlsDaemon) stop(t *testing.T) {
+// shutdownNode drains, snapshots and closes node; a no-op the second time.
+func shutdownNode(t *testing.T, node *cluster.Node) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	_ = d.srv.Shutdown(ctx)
-	<-d.done
+	if err := node.Shutdown(ctx); err != nil {
+		t.Errorf("Shutdown: %v", err)
+	}
 }
 
 // TestRatlsDaemonLifecycle replays the two-daemon deployment over the
@@ -72,14 +63,15 @@ func TestRatlsDaemonLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProvisioned(server): %v", err)
 	}
-	remote, err := slremote.NewServer(slremote.DefaultConfig(), nil)
+	dir := t.TempDir()
+	sealKey, err := seccrypto.NewKey(nil)
 	if err != nil {
-		t.Fatalf("slremote.NewServer: %v", err)
+		t.Fatal(err)
 	}
-	if err := remote.RegisterLicense("lic", lease.CountBased, 10_000); err != nil {
+	d1 := startRatlsNode(t, dir, sealKey, srvRC)
+	if err := d1.Remote().RegisterLicense("lic", lease.CountBased, 10_000); err != nil {
 		t.Fatalf("RegisterLicense: %v", err)
 	}
-	d1 := startRatlsDaemon(t, remote, srvRC)
 
 	// Client daemon: its own machine, platform, and channel credential
 	// derived from the same provisioning secret.
@@ -97,7 +89,7 @@ func TestRatlsDaemonLifecycle(t *testing.T) {
 		t.Fatalf("NewProvisioned(client): %v", err)
 	}
 
-	client, err := wire.Dial(d1.addr, cliRC)
+	client, err := wire.Dial(d1.Addr(), cliRC)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -134,13 +126,14 @@ func TestRatlsDaemonLifecycle(t *testing.T) {
 		t.Fatalf("first incarnation channel stats: %+v, want one quote-verified cold handshake", st)
 	}
 
-	// Restart the server daemon: new listener, new wire.Server, SAME
-	// channel config — the deployment pattern of a daemon restart.
-	d1.stop(t)
+	// Restart the server daemon: drained and snapshotted, then a new node
+	// recovered from the same directory with the SAME channel config —
+	// the deployment pattern of a daemon restart.
+	shutdownNode(t, d1)
 	_ = client.Close()
-	d2 := startRatlsDaemon(t, remote, srvRC)
+	d2 := startRatlsNode(t, dir, sealKey, srvRC)
 
-	client2, err := wire.Dial(d2.addr, cliRC)
+	client2, err := wire.Dial(d2.Addr(), cliRC)
 	if err != nil {
 		t.Fatalf("re-Dial: %v", err)
 	}
@@ -183,7 +176,7 @@ func TestRatlsDaemonLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProvisioned(impostor): %v", err)
 	}
-	if _, err := wire.Dial(d2.addr, evilRC); !errors.Is(err, ratls.ErrHandshake) {
+	if _, err := wire.Dial(d2.Addr(), evilRC); !errors.Is(err, ratls.ErrHandshake) {
 		t.Fatalf("impostor dial: got %v, want ErrHandshake", err)
 	}
 }

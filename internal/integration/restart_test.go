@@ -2,17 +2,15 @@ package integration
 
 import (
 	"bytes"
-	"context"
 	"io/fs"
-	"net"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/attest"
 	"repro/internal/audit"
+	"repro/internal/cluster"
 	"repro/internal/lease"
 	"repro/internal/obs"
 	"repro/internal/ratls"
@@ -24,68 +22,31 @@ import (
 	"repro/internal/wire"
 )
 
-// durableRemote is one incarnation of a persistent SL-Remote deployment:
-// the store, the recovered server, a wire listener, and the obs registry
-// its store metrics land in.
-type durableRemote struct {
-	st     *store.Store
-	remote *slremote.Server
-	srv    *wire.Server
-	addr   string
-	reg    *obs.Registry
-	aud    *audit.Log
-	done   chan struct{}
-}
-
-func bootDurableRemote(t *testing.T, dir string, sealKey seccrypto.Key, service *attest.Service) *durableRemote {
+// bootDurableNode starts one incarnation of a persistent SL-Remote
+// deployment on dir — cluster.Node, the composition cmd/sl-remote serves
+// through — with an obs bundle for its store metrics and the deployment's
+// audit chain reopened beside the WAL.
+func bootDurableNode(t *testing.T, dir string, sealKey seccrypto.Key, service *attest.Service) (*cluster.Node, *audit.Log) {
 	t.Helper()
-	reg := obs.NewRegistry()
 	aud, err := audit.Open(filepath.Join(dir, "audit.log"), sealKey)
 	if err != nil {
 		t.Fatalf("audit.Open: %v", err)
 	}
-	st, rec, err := store.Open(store.Options{
-		Dir:     dir,
-		Mode:    store.SyncBatched,
-		Metrics: store.ExposeMetrics(reg),
+	node, err := cluster.StartNode(cluster.NodeOptions{
+		Dir:           dir,
+		SealKey:       sealKey,
+		Config:        slremote.DefaultConfig(),
+		Service:       service,
+		Channel:       ratls.Insecure(),
+		Audit:         aud,
+		SyncMode:      store.SyncBatched,
+		SnapshotEvery: 8,
+		Obs:           cluster.NewNodeObs("restart", 0),
 	})
 	if err != nil {
-		t.Fatalf("store.Open: %v", err)
+		t.Fatalf("StartNode: %v", err)
 	}
-	remote, err := slremote.RecoverServer(slremote.DefaultConfig(), service, rec, slremote.PersistConfig{
-		Log: st, Snap: st, SealKey: sealKey, SnapshotEvery: 8,
-	})
-	if err != nil {
-		t.Fatalf("RecoverServer: %v", err)
-	}
-	// After recovery, like the daemon does: WAL replay must not re-append
-	// audit records.
-	remote.AttachAudit(aud)
-	srv, err := wire.NewServer(remote, nil, ratls.Insecure())
-	if err != nil {
-		t.Fatalf("wire.NewServer: %v", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	d := &durableRemote{st: st, remote: remote, srv: srv, addr: ln.Addr().String(), reg: reg, aud: aud, done: make(chan struct{})}
-	go func() {
-		defer close(d.done)
-		_ = srv.Serve(ln)
-	}()
-	return d
-}
-
-// drain gracefully drains the wire server; the store stays open.
-func (d *durableRemote) drain(t *testing.T) {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := d.srv.Shutdown(ctx); err != nil {
-		t.Fatalf("wire Shutdown: %v", err)
-	}
-	<-d.done
+	return node, aud
 }
 
 // TestRestartCycleRecoversLedgerAndEscrow is the paper's durability story
@@ -104,15 +65,15 @@ func TestRestartCycleRecoversLedgerAndEscrow(t *testing.T) {
 	service := attest.NewService()
 
 	// --- Incarnation 1: fresh state, real workload over TCP. ---
-	d1 := bootDurableRemote(t, dir, sealKey, service)
+	n1, aud1 := bootDurableNode(t, dir, sealKey, service)
 	const pool = 1000
-	if err := d1.remote.RegisterLicense("lic", lease.CountBased, pool); err != nil {
+	if err := n1.Remote().RegisterLicense("lic", lease.CountBased, pool); err != nil {
 		t.Fatalf("RegisterLicense: %v", err)
 	}
-	if err := d1.remote.RegisterLicense("doomed", lease.CountBased, 5); err != nil {
+	if err := n1.Remote().RegisterLicense("doomed", lease.CountBased, 5); err != nil {
 		t.Fatalf("RegisterLicense: %v", err)
 	}
-	if err := d1.remote.Revoke("doomed"); err != nil {
+	if err := n1.Remote().Revoke("doomed"); err != nil {
 		t.Fatalf("Revoke: %v", err)
 	}
 
@@ -133,7 +94,7 @@ func TestRestartCycleRecoversLedgerAndEscrow(t *testing.T) {
 	probe.Destroy()
 
 	state := &sllocal.UntrustedState{} // survives the client "restart" below
-	cl1, err := wire.Dial(d1.addr, ratls.Insecure())
+	cl1, err := wire.Dial(n1.Addr(), ratls.Insecure())
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -169,7 +130,6 @@ func TestRestartCycleRecoversLedgerAndEscrow(t *testing.T) {
 		t.Fatalf("client close: %v", err)
 	}
 
-	d1.drain(t)
 	// Make sure the kill below leaves a WAL tail to replay: if the
 	// workload's last mutation landed exactly on a compaction boundary,
 	// append profile updates until the current generation's log is
@@ -182,11 +142,11 @@ func TestRestartCycleRecoversLedgerAndEscrow(t *testing.T) {
 		if len(rec.Records) > 0 {
 			break
 		}
-		if err := d1.remote.SetClientProfile(slid, 0.99, 0.99, 1); err != nil {
+		if err := n1.Remote().SetClientProfile(slid, 0.99, 0.99, 1); err != nil {
 			t.Fatalf("SetClientProfile: %v", err)
 		}
 	}
-	want := d1.remote.ExportState()
+	want := n1.Remote().ExportState()
 	if want.Licenses["lic"].Remaining > pool/2 {
 		t.Fatalf("burned only %d of %d units; test wants >50%%", pool-want.Licenses["lic"].Remaining, pool)
 	}
@@ -194,7 +154,7 @@ func TestRestartCycleRecoversLedgerAndEscrow(t *testing.T) {
 	if len(rootKey) == 0 {
 		t.Fatal("no root key escrowed at graceful shutdown")
 	}
-	snap1 := d1.reg.Snapshot()
+	snap1 := n1.Obs().Registry.Snapshot()
 	for _, name := range []string{"store_wal_appends_total", "store_wal_bytes_total", "store_snapshots_total", "store_snapshot_bytes"} {
 		if v := snap1[obs.Key(name, nil)]; v <= 0 {
 			t.Errorf("%s = %v, want > 0", name, v)
@@ -202,20 +162,18 @@ func TestRestartCycleRecoversLedgerAndEscrow(t *testing.T) {
 	}
 	// The audit trail covered the whole first incarnation and verifies
 	// before the kill.
-	if err := d1.aud.Verify(); err != nil {
+	if err := aud1.Verify(); err != nil {
 		t.Fatalf("audit Verify before restart: %v", err)
 	}
-	auditLen := d1.aud.Len()
-	auditHead := d1.aud.HeadHash()
+	auditLen := aud1.Len()
+	auditHead := aud1.HeadHash()
 	if auditLen == 0 {
 		t.Fatal("no audit records after the first incarnation")
 	}
-	// Kill without a final snapshot: recovery must replay the WAL tail, not
-	// just load the last compaction point.
-	if err := d1.st.Close(); err != nil {
-		t.Fatalf("store Close: %v", err)
-	}
-	if err := d1.aud.Close(); err != nil {
+	// Kill without a drain or a final snapshot: recovery must replay the
+	// WAL tail, not just load the last compaction point.
+	n1.Kill()
+	if err := aud1.Close(); err != nil {
 		t.Fatalf("audit Close: %v", err)
 	}
 
@@ -244,32 +202,31 @@ func TestRestartCycleRecoversLedgerAndEscrow(t *testing.T) {
 	}
 
 	// --- Incarnation 2: recover from the state directory. ---
-	d2 := bootDurableRemote(t, dir, sealKey, service)
+	n2, aud2 := bootDurableNode(t, dir, sealKey, service)
 	defer func() {
-		d2.drain(t)
-		_ = d2.st.Close()
-		_ = d2.aud.Close()
+		shutdownNode(t, n2)
+		_ = aud2.Close()
 	}()
 
 	// The audit chain survived the crash-restart: same length, same head,
 	// and the reopened log still verifies end to end.
-	if got := d2.aud.Len(); got != auditLen {
+	if got := aud2.Len(); got != auditLen {
 		t.Errorf("audit chain length after restart = %d, want %d", got, auditLen)
 	}
-	if got := d2.aud.HeadHash(); got != auditHead {
+	if got := aud2.HeadHash(); got != auditHead {
 		t.Errorf("audit head hash changed across restart: %x != %x", got, auditHead)
 	}
-	if err := d2.aud.Verify(); err != nil {
+	if err := aud2.Verify(); err != nil {
 		t.Errorf("audit Verify after restart: %v", err)
 	}
 	// WAL replay must not have re-emitted audit records for replayed
 	// mutations — the chain only grows with NEW decisions (checked below).
 
-	got := d2.remote.ExportState()
+	got := n2.Remote().ExportState()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("recovered state differs from pre-restart state\n got: %+v\nwant: %+v", got, want)
 	}
-	snap2 := d2.reg.Snapshot()
+	snap2 := n2.Obs().Registry.Snapshot()
 	if v := snap2[obs.Key("store_replayed_records_total", nil)]; v <= 0 {
 		t.Errorf("store_replayed_records_total = %v, want > 0 (server was killed with a WAL tail)", v)
 	}
@@ -280,7 +237,7 @@ func TestRestartCycleRecoversLedgerAndEscrow(t *testing.T) {
 	// Re-init the same client (same machine, same untrusted state): the
 	// recovered server must confirm the SLID and release the escrowed key,
 	// and the restored lease tree must keep serving from the same budget.
-	cl2, err := wire.Dial(d2.addr, ratls.Insecure())
+	cl2, err := wire.Dial(n2.Addr(), ratls.Insecure())
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -297,7 +254,7 @@ func TestRestartCycleRecoversLedgerAndEscrow(t *testing.T) {
 	if svc2.SLID() != slid {
 		t.Fatalf("SLID changed across restart: %q → %q", slid, svc2.SLID())
 	}
-	if st := d2.remote.ExportState(); st.Clients[slid].HasEscrow {
+	if st := n2.Remote().ExportState(); st.Clients[slid].HasEscrow {
 		t.Error("escrow not released (single-use) after re-init")
 	}
 	app2, err := m.CreateEnclave("app2", []byte("app"), 0)
@@ -314,14 +271,14 @@ func TestRestartCycleRecoversLedgerAndEscrow(t *testing.T) {
 			extra++
 		}
 	}
-	lic, err := d2.remote.License("lic")
+	lic, err := n2.Remote().License("lic")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lic.Remaining < 0 || lic.Remaining > want.Licenses["lic"].Remaining {
 		t.Errorf("post-restart remaining %d out of range (pre-restart %d)", lic.Remaining, want.Licenses["lic"].Remaining)
 	}
-	if got, err := d2.remote.License("doomed"); err != nil || !got.Revoked {
+	if got, err := n2.Remote().License("doomed"); err != nil || !got.Revoked {
 		t.Errorf("revocation lost across restart: %+v, %v", got, err)
 	}
 	if err := svc2.Shutdown(); err != nil {
@@ -330,14 +287,14 @@ func TestRestartCycleRecoversLedgerAndEscrow(t *testing.T) {
 
 	// The post-restart workload extended the recovered chain: new init,
 	// renew, and escrow decisions link onto the pre-restart head.
-	if got := d2.aud.Len(); got <= auditLen {
+	if got := aud2.Len(); got <= auditLen {
 		t.Errorf("audit chain did not grow after restart: %d <= %d", got, auditLen)
 	}
-	if err := d2.aud.Verify(); err != nil {
+	if err := aud2.Verify(); err != nil {
 		t.Errorf("audit Verify after post-restart workload: %v", err)
 	}
 	ops := make(map[string]int)
-	for _, rec := range d2.aud.Tail(0) {
+	for _, rec := range aud2.Tail(0) {
 		ops[rec.Op]++
 	}
 	for _, op := range []string{audit.OpInit, audit.OpRenew, audit.OpEscrow} {

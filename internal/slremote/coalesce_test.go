@@ -1,7 +1,6 @@
 package slremote
 
 import (
-	"bytes"
 	"encoding/json"
 	"reflect"
 	"sync"
@@ -11,7 +10,6 @@ import (
 
 	"repro/internal/attest"
 	"repro/internal/lease"
-	"repro/internal/seccrypto"
 	"repro/internal/store"
 )
 
@@ -339,65 +337,4 @@ func TestRenewLeaseLeaderReturnsWithItsBatch(t *testing.T) {
 	if s.renews.leading || len(s.renews.pending) != 0 {
 		t.Fatalf("batcher not idle after the last batch: leading=%v pending=%d", s.renews.leading, len(s.renews.pending))
 	}
-}
-
-// BenchmarkRenewalCoalescing is the server-side throughput regression
-// test: many goroutines renew concurrently against one persisted license,
-// so batches form naturally and N renewals share WAL appends and fsync
-// windows. Reported ops are renewals completed.
-func BenchmarkRenewalCoalescing(b *testing.B) {
-	st, _, err := store.Open(store.Options{Dir: b.TempDir(), Mode: store.SyncBatched})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	s, err := NewServer(DefaultConfig(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	key := testSealKeyBench(b)
-	if err := s.AttachPersistence(PersistConfig{Log: st, Snap: st, SealKey: key}); err != nil {
-		b.Fatal(err)
-	}
-	// Perpetual: count-based pools drain geometrically (each renewal
-	// grants a share of the remainder), which caps how many iterations
-	// the benchmark can run before exhaustion. Perpetual renewals hit
-	// the same Algorithm-1 + WAL path without consuming the pool.
-	if err := s.RegisterLicense("lic", lease.Perpetual, 1<<50); err != nil {
-		b.Fatal(err)
-	}
-	const clients = 64
-	slids := make([]string, clients)
-	for i := range slids {
-		res, err := s.InitClient("", attest.Quote{}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		slids[i] = res.SLID
-	}
-	var next atomic.Int64
-	// RunParallel defaults to GOMAXPROCS goroutines; on a small box that
-	// can mean one renewal per sync window and no batching at all. Force
-	// enough concurrent renewers that batches form regardless of core
-	// count — the coalescing win is what this benchmark exists to pin.
-	b.SetParallelism(16)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		slid := slids[int(next.Add(1))%clients]
-		for pb.Next() {
-			if _, err := s.RenewLease(slid, "lic"); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-func testSealKeyBench(b *testing.B) seccrypto.Key {
-	b.Helper()
-	key, err := seccrypto.KeyFromBytes(bytes.Repeat([]byte{0x5e}, seccrypto.KeySize))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return key
 }
