@@ -49,7 +49,7 @@ func standBy(leaderAddr string, promoteAfter time.Duration, rc *ratls.Config, op
 			return nil, f.Close()
 		case <-probe.C:
 		}
-		conn, err := net.DialTimeout("tcp", leaderAddr, leaderProbeInterval)
+		conn, err := (&net.Dialer{Timeout: leaderProbeInterval}).Dial("tcp", leaderAddr)
 		if err == nil {
 			conn.Close()
 			silentSince = time.Time{}

@@ -37,7 +37,6 @@ func run() error {
 		clients  = flag.Int("clients", 1_000_000, "cluster experiment: simulated clients")
 		shards   = flag.Int("shards", 4, "cluster experiment: shard count")
 		kills    = flag.Int("kills", 0, "cluster experiment: leader kills injected mid-run (chaos-swarm variant)")
-		pipeline = flag.Int("pipeline", 1, "cluster experiment: max renewals in flight (1 = lock-step; >1 models the pipelined wire client, trading per-event determinism for throughput)")
 		obsDump  = flag.String("obs-dump", "", "cluster experiment: observe every node, render the merged failover timeline, and write the fleet artifacts (metrics.prom, metrics.json, flight.json) into this directory")
 	)
 	flag.Parse()
@@ -182,13 +181,12 @@ func run() error {
 	if *exp == "cluster" {
 		if err := run("cluster", func() error {
 			res, err := harness.ClusterBench(harness.ClusterBenchOptions{
-				Clients:  *clients,
-				Shards:   *shards,
-				Kills:    *kills,
-				Seed:     *seed,
-				Pipeline: *pipeline,
-				Observe:  *obsDump != "",
-				ObsDump:  *obsDump,
+				Clients: *clients,
+				Shards:  *shards,
+				Kills:   *kills,
+				Seed:    *seed,
+				Observe: *obsDump != "",
+				ObsDump: *obsDump,
 			})
 			if err != nil {
 				return err

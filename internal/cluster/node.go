@@ -124,24 +124,6 @@ func StartNode(opts NodeOptions) (*Node, error) {
 // decision of the node's lifetime.
 func serveNode(opts NodeOptions, st *store.Store, remote *slremote.Server) (*Node, error) {
 	remote.AttachAudit(opts.Audit)
-	wsrv, err := wire.NewServer(remote, opts.Logf, opts.Channel)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: shard %d wire server: %w", opts.Shard, err)
-	}
-	if o := opts.Obs; o != nil {
-		remote.ExposeMetrics(o.Registry)
-		remote.SetFlightRecorder(o.Flight)
-		wsrv.ExposeMetrics(o.Registry, o.Tracer)
-		wsrv.SetFlightRecorder(o.Flight)
-		wsrv.SetObsSource(o.PullSource())
-		if opts.Channel != nil {
-			opts.Channel.ExposeMetrics(o.Registry, o.Tracer)
-			opts.Channel.SetFlightRecorder(o.Flight)
-		}
-		if opts.Audit != nil {
-			opts.Audit.ExposeMetrics(o.Registry)
-		}
-	}
 	listenAddr := opts.ListenAddr
 	if listenAddr == "" {
 		listenAddr = "127.0.0.1:0"
@@ -154,6 +136,38 @@ func serveNode(opts NodeOptions, st *store.Store, remote *slremote.Server) (*Nod
 	if addr == "" {
 		addr = ln.Addr().String()
 	}
+	// The wire server is configured once: its gate judges ownership by the
+	// address the node is known by, so it is built after the listener.
+	var gate wire.ShardGate
+	if opts.Directory != nil {
+		gate = opts.Directory.Gate(opts.Shard, addr)
+	}
+	var repl wire.ReplSource
+	if st != nil {
+		repl = st
+	}
+	var pull wire.ObsSource
+	if opts.Obs != nil {
+		pull = opts.Obs.PullSource()
+	}
+	wsrv, err := wire.NewServer(remote, opts.Logf, opts.Channel, gate, repl, pull)
+	if err != nil {
+		ln.Close()
+		return nil, fmt.Errorf("cluster: shard %d wire server: %w", opts.Shard, err)
+	}
+	if o := opts.Obs; o != nil {
+		remote.ExposeMetrics(o.Registry)
+		remote.SetFlightRecorder(o.Flight)
+		wsrv.ExposeMetrics(o.Registry, o.Tracer)
+		wsrv.SetFlightRecorder(o.Flight)
+		if opts.Channel != nil {
+			opts.Channel.ExposeMetrics(o.Registry, o.Tracer)
+			opts.Channel.SetFlightRecorder(o.Flight)
+		}
+		if opts.Audit != nil {
+			opts.Audit.ExposeMetrics(o.Registry)
+		}
+	}
 	n := &Node{
 		shard:  opts.Shard,
 		addr:   addr,
@@ -162,12 +176,6 @@ func serveNode(opts NodeOptions, st *store.Store, remote *slremote.Server) (*Nod
 		wsrv:   wsrv,
 		obs:    opts.Obs,
 		done:   make(chan struct{}),
-	}
-	if opts.Directory != nil {
-		wsrv.SetShardGate(opts.Directory.Gate(opts.Shard, n.addr))
-	}
-	if st != nil {
-		wsrv.SetReplSource(st)
 	}
 	go func() {
 		defer close(n.done)

@@ -9,9 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/attest"
@@ -45,16 +43,9 @@ type ClusterBenchOptions struct {
 	// run continues against the new leader.
 	Kills int
 	// Seed drives every random choice (event jitter, consume decisions),
-	// making runs reproducible.
+	// making runs reproducible: the loop is lock-step, so the same seed
+	// replays the same grants and denials event for event.
 	Seed int64
-	// Pipeline is the maximum number of renewals in flight at once
-	// (default 1: the classic lock-step loop). With Pipeline > 1 renewal
-	// RPCs are dispatched to a worker pool, modelling the pipelined wire
-	// client: conservation, audit, and totals-vs-ground-truth checks are
-	// unchanged, but per-event completion order — and therefore the exact
-	// grant/denial split for a given seed — is no longer deterministic.
-	// Leader kills act as barriers: in-flight renewals drain first.
-	Pipeline int
 	// Dir is the state root (default: a fresh temp dir, removed after).
 	Dir string
 	// Registry receives cluster_* metrics (nil: none).
@@ -71,17 +62,16 @@ type ClusterBenchOptions struct {
 	ObsDump string
 }
 
-// ShardBenchStats is one shard's share of the run.
+// ShardBenchStats is one shard's share of the run. It counts events, not
+// time: the renewals are in-process calls, and `go run ./bench` is where
+// renewal throughput and latency are measured.
 type ShardBenchStats struct {
-	Shard       int
-	Licenses    int
-	Clients     int
-	Renewals    int64
-	Denials     int64
-	RenewPerSec float64
-	P50Micros   float64
-	P99Micros   float64
-	Failovers   int
+	Shard     int
+	Licenses  int
+	Clients   int
+	Renewals  int64
+	Denials   int64
+	Failovers int
 }
 
 // ClusterBenchResult summarizes the cluster experiment.
@@ -254,86 +244,27 @@ func ClusterBench(opts ClusterBenchOptions) (*ClusterBenchResult, error) {
 	nextKill := killEvery
 	killShard := 0
 
-	latencies := make([][]float64, opts.Shards)
 	runStart := time.Now()
 	var processed int64
-
-	// renew runs one client's renewal (and, on a coin flip, its consume
-	// report) and folds the outcome into the result. In pipelined mode it
-	// runs on worker goroutines, so the fold is under resMu.
-	var resMu sync.Mutex
-	var rpcErr error
-	renew := func(slid string, license int32, coin bool) {
-		shard := int(licShard[license])
+	for h.Len() > 0 {
+		ev := heap.Pop(&h).(clusterEvent)
+		cl := &clients[ev.client]
+		shard := int(licShard[cl.license])
 		remote := c.Leader(shard).Remote()
-		start := time.Now()
-		grant, err := remote.RenewLease(slid, licenses[license])
-		micros := float64(time.Since(start).Microseconds())
-		var consumeErr error
-		consumed := false
-		if err == nil && grant.Units > 1 && coin {
-			// Half the time the client reports half its grant spent,
-			// exercising the consumed side of the ledger.
-			consumeErr = remote.ConsumeReport(slid, licenses[license], grant.Units/2)
-			consumed = consumeErr == nil
-		}
-		resMu.Lock()
-		defer resMu.Unlock()
-		latencies[shard] = append(latencies[shard], micros)
+		grant, err := remote.RenewLease(cl.slid, licenses[cl.license])
 		res.PerShard[shard].Renewals++
 		res.Renewals++
 		if err != nil {
 			res.PerShard[shard].Denials++
 			res.Denials++
 		}
-		if consumed {
-			res.Consumes++
-		}
-		if consumeErr != nil && rpcErr == nil {
-			rpcErr = fmt.Errorf("harness: consume: %w", consumeErr)
-		}
-	}
-
-	// Pipelined dispatch: an unbuffered channel into Pipeline workers
-	// bounds in-flight renewals at exactly Pipeline. drain is the barrier
-	// used before every leader kill and at end of run — FailOver must never
-	// race an in-flight RPC.
-	var inflight sync.WaitGroup
-	var tasks chan func()
-	if opts.Pipeline > 1 {
-		tasks = make(chan func())
-		defer close(tasks)
-		for w := 0; w < opts.Pipeline; w++ {
-			go func() {
-				for f := range tasks {
-					f()
-					inflight.Done()
-				}
-			}()
-		}
-	}
-	drain := func() error {
-		inflight.Wait()
-		resMu.Lock()
-		defer resMu.Unlock()
-		return rpcErr
-	}
-
-	for h.Len() > 0 {
-		ev := heap.Pop(&h).(clusterEvent)
-		cl := &clients[ev.client]
-		if tasks != nil {
-			// The coin is drawn on the event loop so the rng sequence stays
-			// a pure function of the options even though completion order
-			// is not.
-			slid, license, coin := cl.slid, cl.license, rng.Intn(2) == 0
-			inflight.Add(1)
-			tasks <- func() { renew(slid, license, coin) }
-		} else {
-			renew(cl.slid, cl.license, rng.Intn(2) == 0)
-			if rpcErr != nil {
-				return nil, rpcErr
+		if rng.Intn(2) == 0 && err == nil && grant.Units > 1 {
+			// Half the time the client reports half its grant spent,
+			// exercising the consumed side of the ledger.
+			if err := remote.ConsumeReport(cl.slid, licenses[cl.license], grant.Units/2); err != nil {
+				return nil, fmt.Errorf("harness: consume: %w", err)
 			}
+			res.Consumes++
 		}
 		cl.left--
 		if cl.left > 0 {
@@ -341,13 +272,7 @@ func ClusterBench(opts ClusterBenchOptions) (*ClusterBenchResult, error) {
 		}
 
 		processed++
-		// killShard counts kills performed; summing res.PerShard Failovers
-		// would say the same thing, but reading res here would race the
-		// worker pool's resMu-guarded folds.
-		if killEvery > 0 && processed >= nextKill && opts.Kills > 0 && killShard < opts.Kills {
-			if err := drain(); err != nil {
-				return nil, err
-			}
+		if killEvery > 0 && processed >= nextKill && killShard < opts.Kills {
 			shard := killShard % opts.Shards
 			killShard++
 			nextKill += killEvery
@@ -357,19 +282,7 @@ func ClusterBench(opts ClusterBenchOptions) (*ClusterBenchResult, error) {
 			res.PerShard[shard].Failovers++
 		}
 	}
-	if err := drain(); err != nil {
-		return nil, err
-	}
 	res.RunTime = time.Since(runStart)
-
-	for s := range res.PerShard {
-		st := &res.PerShard[s]
-		if res.RunTime > 0 {
-			st.RenewPerSec = float64(st.Renewals) / res.RunTime.Seconds()
-		}
-		st.P50Micros = percentile(latencies[s], 0.50)
-		st.P99Micros = percentile(latencies[s], 0.99)
-	}
 
 	// The whole point: a million clients, shard kills and all, and not
 	// one lease unit created or destroyed — per shard and cluster-wide.
@@ -479,19 +392,9 @@ func dumpFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// percentile returns the p-th percentile of samples (sorted in place).
-func percentile(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sort.Float64s(samples)
-	i := int(p * float64(len(samples)-1))
-	return samples[i]
-}
-
 // Render prints the per-shard table and run summary.
 func (r *ClusterBenchResult) Render() string {
-	header := []string{"Shard", "Licenses", "Clients", "Renewals", "Renew/s", "p50 µs", "p99 µs", "Denials", "Failovers"}
+	header := []string{"Shard", "Licenses", "Clients", "Renewals", "Denials", "Failovers"}
 	rows := make([][]string, 0, len(r.PerShard))
 	for _, s := range r.PerShard {
 		rows = append(rows, []string{
@@ -499,9 +402,6 @@ func (r *ClusterBenchResult) Render() string {
 			fmtCount(int64(s.Licenses)),
 			fmtCount(int64(s.Clients)),
 			fmtCount(s.Renewals),
-			fmtCount(int64(s.RenewPerSec)),
-			fmt.Sprintf("%.0f", s.P50Micros),
-			fmt.Sprintf("%.0f", s.P99Micros),
 			fmtCount(s.Denials),
 			fmt.Sprintf("%d", s.Failovers),
 		})

@@ -32,8 +32,8 @@ func TestClusterBenchSmall(t *testing.T) {
 	for _, s := range res.PerShard {
 		perShard += s.Renewals
 		failovers += s.Failovers
-		if s.Renewals > 0 && s.P99Micros <= 0 {
-			t.Fatalf("shard %d served %d renewals with p99 %v", s.Shard, s.Renewals, s.P99Micros)
+		if s.Denials > s.Renewals {
+			t.Fatalf("shard %d denied %d of %d renewals", s.Shard, s.Denials, s.Renewals)
 		}
 	}
 	if perShard != res.Renewals {
@@ -83,45 +83,6 @@ func TestClusterBenchSmall(t *testing.T) {
 	}
 	if !strings.Contains(render, "Failover timeline") {
 		t.Fatalf("render does not surface the failover timeline:\n%s", render)
-	}
-}
-
-// TestClusterBenchPipelined runs the cluster experiment with eight
-// renewals in flight and a mid-run leader kill: the kill barrier must
-// drain in-flight RPCs before failover, and conservation plus the audit
-// chain must survive exactly as in lock-step mode. Event totals are still
-// exact — only completion order is concurrent.
-func TestClusterBenchPipelined(t *testing.T) {
-	res, err := ClusterBench(ClusterBenchOptions{
-		Clients:           1000,
-		Shards:            2,
-		ClientsPerLicense: 10,
-		RenewalsPerClient: 2,
-		Kills:             1,
-		Pipeline:          8,
-		Seed:              13,
-		Dir:               t.TempDir(),
-	})
-	if err != nil {
-		t.Fatalf("ClusterBench: %v", err)
-	}
-	if res.Renewals != 2000 {
-		t.Fatalf("Renewals = %d, want 2000 (1000 clients × 2)", res.Renewals)
-	}
-	var perShard int64
-	var failovers int
-	for _, s := range res.PerShard {
-		perShard += s.Renewals
-		failovers += s.Failovers
-	}
-	if perShard != res.Renewals {
-		t.Fatalf("per-shard renewals %d != total %d", perShard, res.Renewals)
-	}
-	if failovers != 1 {
-		t.Fatalf("failovers = %d, want 1", failovers)
-	}
-	if !res.AuditVerified {
-		t.Fatal("audit chains not verified despite kills")
 	}
 }
 

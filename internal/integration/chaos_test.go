@@ -56,7 +56,7 @@ func (d *chaosDialer) client() (*wire.Client, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.c == nil {
-		c, err := wire.DialTimeout(d.h.addr, swarmRPCWait, d.rc)
+		c, err := wire.DialPolicy(d.h.addr, swarmRPCWait, d.rc, wire.DefaultRetryPolicy(time.Now().UnixNano()))
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +231,7 @@ func (h *swarmHarness) boot() {
 		h.fatalf("RecoverServer: %v", err)
 	}
 	remote.AttachAudit(aud)
-	srv, err := wire.NewServer(remote, nil, h.srvRC)
+	srv, err := wire.NewServer(remote, nil, h.srvRC, nil, nil, nil)
 	if err != nil {
 		h.fatalf("wire.NewServer: %v", err)
 	}

@@ -183,7 +183,7 @@ func TestServerLossMidSession(t *testing.T) {
 	if err := remote.RegisterLicense("lic", lease.CountBased, 100_000); err != nil {
 		t.Fatalf("RegisterLicense: %v", err)
 	}
-	srv, err := wire.NewServer(remote, nil, ratls.Insecure())
+	srv, err := wire.NewServer(remote, nil, ratls.Insecure(), nil, nil, nil)
 	if err != nil {
 		t.Fatalf("wire.NewServer: %v", err)
 	}
@@ -355,7 +355,7 @@ func TestTwoClientsShareLicenseOverTCP(t *testing.T) {
 	if err := remote.RegisterLicense("lic", lease.CountBased, pool); err != nil {
 		t.Fatalf("RegisterLicense: %v", err)
 	}
-	srv, err := wire.NewServer(remote, nil, ratls.Insecure())
+	srv, err := wire.NewServer(remote, nil, ratls.Insecure(), nil, nil, nil)
 	if err != nil {
 		t.Fatalf("wire.NewServer: %v", err)
 	}

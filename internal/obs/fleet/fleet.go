@@ -257,7 +257,7 @@ func (a *Aggregator) obsPull(t Target, traceFilter string) (wire.ObsPullResponse
 	if rc == nil {
 		rc = ratls.Insecure()
 	}
-	c, err := wire.DialTimeout(t.Addr, a.opts.Timeout, rc)
+	c, err := wire.DialPolicy(t.Addr, a.opts.Timeout, rc, wire.DefaultRetryPolicy(time.Now().UnixNano()))
 	if err != nil {
 		return wire.ObsPullResponse{}, err
 	}

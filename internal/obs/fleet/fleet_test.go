@@ -49,20 +49,19 @@ func startWireObsNode(t *testing.T, n *obsNode) string {
 	if err != nil {
 		t.Fatalf("slremote.NewServer: %v", err)
 	}
-	srv, err := wire.NewServer(remote, t.Logf, ratls.Insecure())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("wire.NewServer: %v", err)
+		t.Fatalf("Listen: %v", err)
 	}
-	srv.SetObsSource(func(traceFilter string) wire.ObsPullResponse {
+	srv, err := wire.NewServer(remote, t.Logf, ratls.Insecure(), nil, nil, func(traceFilter string) wire.ObsPullResponse {
 		var resp wire.ObsPullResponse
 		resp.Metrics, _ = json.Marshal(n.reg.Export())
 		resp.Trace, _ = json.Marshal(n.tr.Dump(traceFilter))
 		resp.Events, _ = json.Marshal(n.rec.Dump())
 		return resp
 	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("Listen: %v", err)
+		t.Fatalf("wire.NewServer: %v", err)
 	}
 	done := make(chan struct{})
 	go func() {

@@ -96,7 +96,7 @@ func captureDeployment(t *testing.T, rc *ratls.Config) (addr string, cap *captur
 	if err != nil {
 		t.Fatalf("slremote.NewServer: %v", err)
 	}
-	srv, err := NewServer(remote, nil, rc)
+	srv, err := NewServer(remote, nil, rc, nil, nil, nil)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}

@@ -90,53 +90,43 @@ func (p RetryPolicy) backoff(retry int, rng *rand.Rand) time.Duration {
 var ErrNilChannelConfig = errors.New("wire: nil channel config (use ratls.Insecure() for explicit plaintext)")
 
 // Client is the TCP binding of SL-Remote: it implements sllocal.RemoteAPI
-// over connections to a wire.Server, so an sllocal.Service runs against a
-// real license-server daemon unchanged.
+// over one connection to a wire.Server, so an sllocal.Service runs against
+// a real license-server daemon unchanged.
 //
-// Client pipelines requests: every envelope carries a correlation ID, a
-// demux reader goroutine per connection matches responses to waiters, and
-// many RPCs can be in flight on one connection at once. It is safe for
-// concurrent use; concurrent callers share the pipeline instead of
-// queueing behind a per-roundtrip lock. SetPoolSize grows the connection
-// pool for callers that want more than one pipe; the default is a single
-// connection so handshake-count expectations (cold vs resumed RA-TLS) are
-// unchanged from the serialized client.
+// The connection is pipelined: every envelope carries a correlation ID, a
+// demux reader goroutine matches replies to waiters, and concurrent
+// callers share the pipe instead of queueing behind a per-request lock.
+// Every RPC runs through one request path, call. A not_leader reply moves
+// the client to a fresh connection to the named leader; the old one is
+// retired and closes once its in-flight requests drain. A connection the
+// server dropped is not redialed: its RPCs fail with the reader's error,
+// and reconnecting is the caller's policy.
 type Client struct {
-	mu       sync.Mutex
-	conns    []*clientConn // guardedby: mu — the connection pool for addr
-	next     uint64        // guardedby: mu — round-robin cursor over conns
-	poolSize int           // guardedby: mu
-	addr     string        // guardedby: mu — server the pool speaks to (moves on redirect)
-	closed   bool          // guardedby: mu
-	rc       *ratls.Config
-	timeout  time.Duration
-	policy   RetryPolicy
-	rng      *rand.Rand // jitter stream; guarded by mu after construction
+	mu      sync.Mutex
+	cc      *clientConn // guardedby: mu — the connection to addr (replaced on redirect)
+	addr    string      // guardedby: mu — server cc speaks to
+	closed  bool        // guardedby: mu
+	rc      *ratls.Config
+	timeout time.Duration
+	policy  RetryPolicy
+	rng     *rand.Rand // jitter stream; guarded by mu after construction
 
 	nextID      atomic.Uint64 // correlation IDs, client-global so redirects cannot collide
 	bytesOut    atomic.Int64
 	bytesIn     atomic.Int64
 	dialRetries atomic.Int64
 	redirects   atomic.Int64
-	poolHits    atomic.Int64 // RPCs served by an already-open pooled connection
-	poolMisses  atomic.Int64 // RPCs (or redirects) that had to dial
+	poolMisses  atomic.Int64 // connections a redirect had to dial
 	wrongID     atomic.Int64 // responses bearing an unknown correlation ID, rejected
 	metrics     atomic.Pointer[clientMetrics]
 }
 
-// clientConn is one pipelined connection: a write mutex serializing
-// outgoing frames, and a demux reader goroutine delivering each response
-// to the waiter whose correlation ID it carries.
+// clientConn is one pipelined connection: a frame writer shared by every
+// sender, and a demux reader goroutine delivering each response to the
+// waiter whose correlation ID it carries.
 type clientConn struct {
 	c net.Conn
-
-	// Outgoing frames coalesce: each send buffers its frame under wmu,
-	// and the sender that drops wpend to zero flushes the burst with one
-	// Write syscall. A lone request flushes immediately, so sequential
-	// callers keep per-RPC latency.
-	wpend atomic.Int64
-	wmu   sync.Mutex    // serializes frame writes onto bw
-	bw    *bufio.Writer // guardedby: wmu — buffers frames onto c
+	w *frameWriter
 
 	mu      sync.Mutex
 	waiters map[uint64]chan Envelope // guardedby: mu — in-flight requests by ID
@@ -146,63 +136,41 @@ type clientConn struct {
 	done    chan struct{}            // closed when the reader exits
 
 	// Shared counters owned by the parent Client.
-	wrongID  *atomic.Int64
-	bytesIn  *atomic.Int64
-	bytesOut *atomic.Int64
+	wrongID *atomic.Int64
+	bytesIn *atomic.Int64
 }
 
-// Dial connects to a wire.Server at addr with DefaultTimeout for the
-// connect and every round trip. rc selects the channel: an attested
-// ratls config for production, ratls.Insecure() for plaintext paths.
+// Dial connects to a wire.Server at addr with DefaultTimeout and
+// DefaultRetryPolicy seeded from the clock. rc selects the channel: an
+// attested ratls config for production, ratls.Insecure() for plaintext
+// paths.
 func Dial(addr string, rc *ratls.Config) (*Client, error) {
-	return DialTimeout(addr, DefaultTimeout, rc)
+	return DialPolicy(addr, DefaultTimeout, rc, DefaultRetryPolicy(time.Now().UnixNano()))
 }
 
-// DialTimeout connects to a wire.Server at addr and runs the channel
+// DialPolicy connects to a wire.Server at addr and runs the channel
 // handshake rc prescribes. timeout bounds the connect (TCP plus
 // handshake) and each subsequent request/reply round trip; zero disables
 // deadlines (blocking semantics). Transient connect failures (timeout,
 // refused, unreachable, or a failed channel handshake) are retried on
-// DefaultRetryPolicy's jittered exponential backoff, seeded from the
-// clock.
-func DialTimeout(addr string, timeout time.Duration, rc *ratls.Config) (*Client, error) {
-	return DialPolicy(addr, timeout, rc, DefaultRetryPolicy(time.Now().UnixNano()))
-}
-
-// DialPolicy is DialTimeout with an explicit retry schedule; harnesses use
-// a seeded policy so reconnect storms replay identically.
+// policy's jittered exponential backoff; harnesses seed it so reconnect
+// storms replay identically.
 func DialPolicy(addr string, timeout time.Duration, rc *ratls.Config, policy RetryPolicy) (*Client, error) {
 	if rc == nil {
 		return nil, ErrNilChannelConfig
 	}
 	c := &Client{
-		timeout:  timeout,
-		rc:       rc,
-		policy:   policy,
-		poolSize: 1,
-		rng:      rand.New(rand.NewSource(policy.Seed)),
+		timeout: timeout,
+		rc:      rc,
+		policy:  policy,
+		rng:     rand.New(rand.NewSource(policy.Seed)),
 	}
 	cc, err := c.newConn(addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dialing %s: %w", addr, err)
 	}
-	c.conns = []*clientConn{cc}
-	c.addr = addr
+	c.cc, c.addr = cc, addr
 	return c, nil
-}
-
-// SetPoolSize sets how many pipelined connections the client may open to
-// its server (minimum 1; the default). Extra connections are dialed
-// lazily on demand and counted as pool misses. Callers that care about
-// exact handshake counts (the RA-TLS resumption tests, the chaos
-// harness) keep the default single pipe.
-func (c *Client) SetPoolSize(n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.mu.Lock()
-	c.poolSize = n
-	c.mu.Unlock()
 }
 
 // dial runs the policy's connect-attempt loop: every transient failure
@@ -235,14 +203,13 @@ func (c *Client) newConn(addr string) (*clientConn, error) {
 		return nil, err
 	}
 	cc := &clientConn{
-		c:        conn,
-		waiters:  make(map[uint64]chan Envelope),
-		done:     make(chan struct{}),
-		wrongID:  &c.wrongID,
-		bytesIn:  &c.bytesIn,
-		bytesOut: &c.bytesOut,
+		c:       conn,
+		w:       newFrameWriter(conn, &c.bytesOut, c.timeout),
+		waiters: make(map[uint64]chan Envelope),
+		done:    make(chan struct{}),
+		wrongID: &c.wrongID,
+		bytesIn: &c.bytesIn,
 	}
-	cc.bw = bufio.NewWriterSize(countWriter{conn, cc.bytesOut}, 32<<10)
 	go cc.readLoop()
 	return cc, nil
 }
@@ -250,7 +217,7 @@ func (c *Client) newConn(addr string) (*clientConn, error) {
 // connect performs one TCP connect plus channel handshake. On handshake
 // failure ratls has already closed the raw connection.
 func (c *Client) connect(addr string) (net.Conn, error) {
-	raw, err := net.DialTimeout("tcp", addr, c.timeout)
+	raw, err := (&net.Dialer{Timeout: c.timeout}).Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
@@ -277,20 +244,48 @@ func transientDialErr(err error) bool {
 	return false
 }
 
-// Close shuts every pooled connection down.
+// Close shuts the connection down.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
-	conns := c.conns
-	c.conns = nil
+	cc := c.cc
 	c.mu.Unlock()
-	var first error
-	for _, cc := range conns {
-		if err := cc.close(); err != nil && first == nil {
-			first = err
-		}
+	return cc.close()
+}
+
+// conn returns the current connection; it fails only after Close.
+func (c *Client) conn() (*clientConn, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil, net.ErrClosed
 	}
-	return first
+	return c.cc, nil
+}
+
+// redirect re-points the client at addr with a fresh connection (dialed
+// with the policy's backoff and counted as a pool miss). The old
+// connection is retired, not cut: it finishes its in-flight requests and
+// closes when they drain, so a redirect never strands a sibling RPC's
+// reply. A no-op when another RPC already moved there.
+func (c *Client) redirect(addr string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return net.ErrClosed
+	}
+	if addr == c.addr {
+		return nil
+	}
+	cc, err := c.newConn(addr)
+	if err != nil {
+		return fmt.Errorf("wire: redirecting to %s: %w", addr, err)
+	}
+	c.poolMisses.Add(1)
+	c.cc.retire()
+	c.cc, c.addr = cc, addr
+	c.redirects.Add(1)
+	return nil
 }
 
 // readLoop is the demux reader: it delivers each response to the waiter
@@ -308,19 +303,13 @@ func (cc *clientConn) readLoop() {
 			cc.fail(err)
 			return
 		}
-		cc.mu.Lock()
-		ch, ok := cc.waiters[env.ID]
-		if ok {
-			delete(cc.waiters, env.ID)
-		}
-		closeNow := cc.retired && len(cc.waiters) == 0 && !cc.closed
-		cc.mu.Unlock()
-		if !ok {
+		ch, last := cc.take(env.ID)
+		if ch == nil {
 			cc.wrongID.Add(1)
 			continue
 		}
 		ch <- env // buffered; never blocks
-		if closeNow {
+		if last {
 			_ = cc.close()
 			return
 		}
@@ -347,14 +336,8 @@ func (cc *clientConn) lastErr() error {
 	return cc.readErr
 }
 
-// load returns how many requests are in flight.
-func (cc *clientConn) load() int {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return len(cc.waiters)
-}
-
-// register claims a waiter slot for a correlation ID.
+// register claims a waiter slot for a correlation ID. A dead connection
+// answers with its reader's error.
 func (cc *clientConn) register(id uint64) (chan Envelope, error) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -369,28 +352,32 @@ func (cc *clientConn) register(id uint64) (chan Envelope, error) {
 	return ch, nil
 }
 
+// take removes id's waiter (nil when there is none) and reports whether
+// it was the last one on a retired connection, which should now close.
+func (cc *clientConn) take(id uint64) (ch chan Envelope, last bool) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	ch = cc.waiters[id]
+	delete(cc.waiters, id)
+	return ch, cc.retired && len(cc.waiters) == 0
+}
+
 // unregister abandons a waiter (send failure or timeout); the conn closes
 // if it was retired and this was the last one.
 func (cc *clientConn) unregister(id uint64) {
-	cc.mu.Lock()
-	delete(cc.waiters, id)
-	closeNow := cc.retired && len(cc.waiters) == 0 && !cc.closed
-	cc.mu.Unlock()
-	if closeNow {
+	if _, last := cc.take(id); last {
 		_ = cc.close()
 	}
 }
 
 // retire schedules the connection to close as soon as its in-flight
-// requests drain (immediately when idle). Redirected-away connections are
-// retired, not cut, so sibling RPCs racing the redirect still get their
-// answers.
+// requests drain (immediately when idle).
 func (cc *clientConn) retire() {
 	cc.mu.Lock()
 	cc.retired = true
-	closeNow := len(cc.waiters) == 0 && !cc.closed
+	idle := len(cc.waiters) == 0
 	cc.mu.Unlock()
-	if closeNow {
+	if idle {
 		_ = cc.close()
 	}
 }
@@ -407,218 +394,112 @@ func (cc *clientConn) close() error {
 	return cc.c.Close()
 }
 
-// send writes one framed request; the write deadline bounds a peer that
-// stopped reading.
-func (cc *clientConn) send(id uint64, msgType string, payload any, tc *TraceContext, timeout time.Duration) error {
-	cc.wpend.Add(1)
-	cc.wmu.Lock()
-	defer cc.wmu.Unlock()
-	if timeout > 0 {
-		_ = cc.c.SetWriteDeadline(time.Now().Add(timeout))
-	}
-	err := WriteMessageID(cc.bw, msgType, id, payload, tc)
-	if cc.wpend.Add(-1) == 0 {
-		// Last sender in the burst: pay the one Write syscall for every
-		// coalesced frame. A sender that skips this has a successor
-		// already queued on wmu who will flush for it.
-		if ferr := cc.bw.Flush(); err == nil {
-			err = ferr
-		}
-	}
-	return err
-}
-
-// acquire picks a pooled connection for one RPC: the least-loaded live
-// connection when one exists (a pool hit), growing the pool up to
-// poolSize by dialing (a pool miss). A pool whose connections all died
-// surfaces the first reader error — reconnecting is the caller's policy
-// (chaos harnesses redial; redirects dial through the pool).
-func (c *Client) acquire() (*clientConn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, net.ErrClosed
-	}
-	var best *clientConn
-	bestLoad := 0
-	var firstErr error
-	for _, cc := range c.conns {
-		if err := cc.lastErr(); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if l := cc.load(); best == nil || l < bestLoad {
-			best, bestLoad = cc, l
-		}
-	}
-	if best != nil && (bestLoad == 0 || len(c.conns) >= c.poolSize) {
-		c.mu.Unlock()
-		c.poolHits.Add(1)
-		return best, nil
-	}
-	if len(c.conns) < c.poolSize {
-		cc, err := c.newConn(c.addr)
-		if err != nil {
-			c.mu.Unlock()
-			return nil, err
-		}
-		c.conns = append(c.conns, cc)
-		c.mu.Unlock()
-		c.poolMisses.Add(1)
-		return cc, nil
-	}
-	c.mu.Unlock()
-	if firstErr == nil {
-		firstErr = net.ErrClosed
-	}
-	return nil, firstErr
-}
-
-// roundTrip sends one request and reads the reply, bounded by the client's
-// per-roundtrip deadline.
-func (c *Client) roundTrip(msgType string, payload any) (Envelope, error) {
-	return c.roundTripSpan(nil, msgType, payload)
-}
-
-// roundTripSpan is roundTrip under an optional caller span. The RPC gets
-// its own span — a child of parent when given, else a root span from the
-// client tracer — and the span's context is injected into the outgoing
-// envelope so the server's handler span joins the same trace.
-func (c *Client) roundTripSpan(parent *obs.Span, msgType string, payload any) (Envelope, error) {
-	return c.roundTripConn(nil, parent, msgType, payload)
-}
-
-// roundTripConn is roundTripSpan pinned to a specific pooled connection
-// (nil cc acquires one): the escrow path must seal its payload for the
-// very connection the request leaves on.
-func (c *Client) roundTripConn(cc *clientConn, parent *obs.Span, msgType string, payload any) (Envelope, error) {
-	m := c.metrics.Load()
-	label := rpcLabel(msgType)
-	var span *obs.Span
-	if parent != nil {
-		span = parent.Child("rpc." + label)
-	} else if m != nil {
-		span = m.tracer.Start("rpc." + label)
-	}
-	var tc *TraceContext
-	if sc := span.Context(); !sc.Trace.IsZero() {
-		tc = &TraceContext{TraceID: sc.Trace.String(), SpanID: sc.Span}
-	}
-	start := time.Now()
-	var env Envelope
-	var err error
-	if cc == nil {
-		cc, err = c.acquire()
-	}
-	if err == nil {
-		env, err = c.doOn(cc, msgType, payload, tc)
-	}
-	if m != nil {
-		rm := m.forType(label)
-		rm.rpcs.Inc()
-		rm.latency.Observe(time.Since(start).Seconds())
-		if err != nil {
-			rm.errors.Inc()
-		}
-	}
-	span.End(err)
-	return env, err
-}
-
-// doOn runs one pipelined exchange on cc: register a waiter under a fresh
-// correlation ID, write the frame, and wait for the demux reader to
-// deliver the correlated reply, the connection to die, or the
-// per-roundtrip deadline to pass.
-func (c *Client) doOn(cc *clientConn, msgType string, payload any, tc *TraceContext) (Envelope, error) {
-	id := c.nextID.Add(1)
-	ch, err := cc.register(id)
-	if err != nil {
-		return Envelope{}, err
-	}
-	if err := cc.send(id, msgType, payload, tc, c.timeout); err != nil {
-		cc.unregister(id)
-		return Envelope{}, err
-	}
+// wait blocks until the demux reader delivers id's reply, the connection
+// dies, or timeout (0: none) passes. A reply that lands in the same
+// instant as either failure wins.
+func (cc *clientConn) wait(id uint64, ch chan Envelope, msgType string, timeout time.Duration) (Envelope, error) {
 	var timeoutC <-chan time.Time
-	if c.timeout > 0 {
-		timer := time.NewTimer(c.timeout)
+	if timeout > 0 {
+		timer := time.NewTimer(timeout)
 		defer timer.Stop()
 		timeoutC = timer.C
 	}
+	var err error
 	select {
 	case env := <-ch:
 		return env, nil
 	case <-cc.done:
-		// A reply may have been delivered in the same instant the reader
-		// died; prefer it.
-		select {
-		case env := <-ch:
-			return env, nil
-		default:
-		}
-		return Envelope{}, cc.lastErr()
+		err = cc.lastErr()
 	case <-timeoutC:
 		cc.unregister(id)
-		select {
-		case env := <-ch:
-			return env, nil
-		default:
-		}
-		return Envelope{}, fmt.Errorf("wire: %s round trip: %w", msgType, os.ErrDeadlineExceeded)
+		err = fmt.Errorf("wire: %s round trip: %w", msgType, os.ErrDeadlineExceeded)
+	}
+	select {
+	case env := <-ch:
+		return env, nil
+	default:
+		return Envelope{}, err
 	}
 }
 
-// roundTripRoute is roundTripSpan for license-scoped requests against a
-// sharded cluster: a TypeNotLeader reply re-points the connection pool at
-// the named leader and retries, so SL-Local re-routes transparently across
-// failovers. Hops are bounded; a loop of stale servers or a leaderless
-// shard surfaces as ErrNotLeader.
-func (c *Client) roundTripRoute(parent *obs.Span, msgType string, payload any) (Envelope, error) {
+// channelPayload builds a request payload for the connection its frame
+// leaves on. Escrow uses it: the root key may only be sealed for the very
+// channel that carries it.
+type channelPayload func(conn net.Conn) (any, error)
+
+// call is the client's one request path. Each hop is one exchange on the
+// current connection: an RPC span (a child of parent, else a root span
+// when a tracer is installed) whose context rides in the envelope, a fresh
+// correlation ID, the framed send, the wait for the correlated reply, and
+// the per-type metrics. A not_leader reply re-points the client at the
+// named leader and retries; a loop of stale servers or a leaderless shard
+// surfaces as ErrNotLeader. Any other reply must be the type's expected
+// reply, decoded into out (nil: the reply carries no payload).
+func (c *Client) call(parent *obs.Span, msgType string, req any, out any) error {
+	typ := typeOf(msgType)
 	for hop := 0; ; hop++ {
-		env, err := c.roundTripSpan(parent, msgType, payload)
-		if err != nil || env.Type != TypeNotLeader {
-			return env, err
+		m := c.metrics.Load()
+		var span *obs.Span
+		if parent != nil {
+			span = parent.Child(typ.span)
+		} else if m != nil {
+			span = m.tracer.Start(typ.span)
+		}
+		var tc *TraceContext
+		if sc := span.Context(); !sc.Trace.IsZero() {
+			tc = &TraceContext{TraceID: sc.Trace.String(), SpanID: sc.Span}
+		}
+		start := time.Now()
+		id := c.nextID.Add(1)
+		cc, err := c.conn()
+		payload := req
+		if build, ok := req.(channelPayload); ok && err == nil {
+			payload, err = build(cc.c)
+		}
+		var ch chan Envelope
+		if err == nil {
+			ch, err = cc.register(id)
+		}
+		if err == nil {
+			if err = cc.w.write(msgType, id, payload, tc); err != nil {
+				cc.unregister(id)
+			}
+		}
+		var env Envelope
+		if err == nil {
+			env, err = cc.wait(id, ch, msgType, c.timeout)
+		}
+		if m != nil {
+			rm := m.byType[typ.idx]
+			rm.rpcs.Inc()
+			rm.latency.Observe(time.Since(start).Seconds())
+			if err != nil {
+				rm.errors.Inc()
+			}
+		}
+		span.End(err)
+		switch {
+		case err != nil:
+			return err
+		case env.Type == typ.reply && out == nil:
+			return nil
+		case env.Type == typ.reply:
+			return DecodePayload(env, out)
+		case env.Type != TypeNotLeader:
+			return RemoteErr(env)
 		}
 		var nl NotLeaderResponse
 		if err := DecodePayload(env, &nl); err != nil {
-			return Envelope{}, err
+			return err
 		}
 		if hop >= maxRedirectHops || nl.Leader == "" {
-			return Envelope{}, fmt.Errorf("%w: license %q (leader %q, epoch %d, %d hops)",
+			return fmt.Errorf("%w: license %q (leader %q, epoch %d, %d hops)",
 				ErrNotLeader, nl.License, nl.Leader, nl.Epoch, hop+1)
 		}
 		if err := c.redirect(nl.Leader); err != nil {
-			return Envelope{}, err
+			return err
 		}
 	}
-}
-
-// redirect re-points the connection pool at addr (with the dial policy's
-// backoff). The old pool is retired, not cut: redirected-away connections
-// finish their in-flight requests and close when they drain, so a
-// redirect hop never strands a sibling RPC's reply. The replacement dial
-// is counted as a pool miss. A no-op when another RPC already moved there.
-func (c *Client) redirect(addr string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if addr == c.addr {
-		return nil
-	}
-	cc, err := c.newConn(addr)
-	if err != nil {
-		return fmt.Errorf("wire: redirecting to %s: %w", addr, err)
-	}
-	c.poolMisses.Add(1)
-	old := c.conns
-	c.conns = []*clientConn{cc}
-	c.addr = addr
-	for _, o := range old {
-		o.retire()
-	}
-	c.redirects.Add(1)
-	return nil
 }
 
 // InitClient implements sllocal.RemoteAPI over the wire. The remote
@@ -635,15 +516,8 @@ func (c *Client) InitClientSpan(parent *obs.Span, slid string, quote attest.Quot
 	if clientMachine != nil {
 		clientMachine.ChargeRemoteAttestation()
 	}
-	env, err := c.roundTripSpan(parent, TypeInit, InitRequest{SLID: slid, Quote: quote})
-	if err != nil {
-		return slremote.InitResult{}, err
-	}
-	if env.Type != TypeInit {
-		return slremote.InitResult{}, RemoteErr(env)
-	}
 	var resp InitResponse
-	if err := DecodePayload(env, &resp); err != nil {
+	if err := c.call(parent, TypeInit, InitRequest{SLID: slid, Quote: quote}, &resp); err != nil {
 		return slremote.InitResult{}, err
 	}
 	out := slremote.InitResult{SLID: resp.SLID, HasOBK: resp.HasOBK}
@@ -664,15 +538,8 @@ func (c *Client) RenewLease(slid, licenseID string) (slremote.Grant, error) {
 
 // RenewLeaseSpan is RenewLease with the RPC span linked under parent.
 func (c *Client) RenewLeaseSpan(parent *obs.Span, slid, licenseID string) (slremote.Grant, error) {
-	env, err := c.roundTripRoute(parent, TypeRenew, RenewRequest{SLID: slid, License: licenseID})
-	if err != nil {
-		return slremote.Grant{}, err
-	}
-	if env.Type != TypeRenew {
-		return slremote.Grant{}, RemoteErr(env)
-	}
 	var resp RenewResponse
-	if err := DecodePayload(env, &resp); err != nil {
+	if err := c.call(parent, TypeRenew, RenewRequest{SLID: slid, License: licenseID}, &resp); err != nil {
 		return slremote.Grant{}, err
 	}
 	grant := slremote.Grant{License: licenseID, Units: resp.Units}
@@ -688,131 +555,64 @@ func (c *Client) EscrowRootKey(slid string, key seccrypto.Key) error {
 }
 
 // EscrowRootKeySpan is EscrowRootKey with the RPC span linked under parent.
+// SealForChannel releases the key only into an attested (or explicitly
+// insecure) connection — a plain net.Conn is refused at runtime — and it
+// seals for the very connection the request leaves on.
 func (c *Client) EscrowRootKeySpan(parent *obs.Span, slid string, key seccrypto.Key) error {
-	// SealForChannel releases the key only into an attested (or explicitly
-	// insecure) connection; a plain net.Conn is refused at runtime. The
-	// request is pinned to the very connection the key was sealed for.
-	cc, err := c.acquire()
-	if err != nil {
-		return err
-	}
-	sealed, err := ratls.SealForChannel(key, cc.c)
-	if err != nil {
-		return err
-	}
-	env, err := c.roundTripConn(cc, parent, TypeEscrow, EscrowRequest{SLID: slid, Key: sealed})
-	if err != nil {
-		return err
-	}
-	if env.Type != TypeOK {
-		return RemoteErr(env)
-	}
-	return nil
+	return c.call(parent, TypeEscrow, channelPayload(func(conn net.Conn) (any, error) {
+		sealed, err := ratls.SealForChannel(key, conn)
+		return EscrowRequest{SLID: slid, Key: sealed}, err
+	}), nil)
 }
 
 // RegisterLicense registers a license on the remote server (admin). In a
 // sharded cluster the request follows redirects to the license's owning
 // shard.
 func (c *Client) RegisterLicense(id string, kind uint8, totalGCL int64) error {
-	env, err := c.roundTripRoute(nil, TypeRegisterLicense, RegisterLicenseRequest{ID: id, Kind: kind, TotalGCL: totalGCL})
-	if err != nil {
-		return err
-	}
-	if env.Type != TypeOK {
-		return RemoteErr(env)
-	}
-	return nil
+	return c.call(nil, TypeRegisterLicense, RegisterLicenseRequest{ID: id, Kind: kind, TotalGCL: totalGCL}, nil)
 }
 
 // ReportCrash reports a crashed SL-Local (admin/monitor).
 func (c *Client) ReportCrash(slid string) error {
-	env, err := c.roundTrip(TypeReportCrash, ReportCrashRequest{SLID: slid})
-	if err != nil {
-		return err
-	}
-	if env.Type != TypeOK {
-		return RemoteErr(env)
-	}
-	return nil
+	return c.call(nil, TypeReportCrash, ReportCrashRequest{SLID: slid}, nil)
 }
 
 // SetProfile updates a client's Algorithm 1 inputs (admin/monitor).
 func (c *Client) SetProfile(slid string, health, reliability, weight float64) error {
-	env, err := c.roundTrip(TypeSetProfile, SetProfileRequest{
+	return c.call(nil, TypeSetProfile, SetProfileRequest{
 		SLID: slid, Health: health, Reliability: reliability, Weight: weight,
-	})
-	if err != nil {
-		return err
-	}
-	if env.Type != TypeOK {
-		return RemoteErr(env)
-	}
-	return nil
+	}, nil)
 }
 
 // ConsumeReport reports spent units so the server's outstanding view (and
 // the conservation ledger behind it) tracks reality.
 func (c *Client) ConsumeReport(slid, licenseID string, units int64) error {
-	env, err := c.roundTripRoute(nil, TypeConsume, ConsumeRequest{SLID: slid, License: licenseID, Units: units})
-	if err != nil {
-		return err
-	}
-	if env.Type != TypeOK {
-		return RemoteErr(env)
-	}
-	return nil
+	return c.call(nil, TypeConsume, ConsumeRequest{SLID: slid, License: licenseID, Units: units}, nil)
 }
 
 // LicenseInfo fetches license state (admin), following shard redirects.
 func (c *Client) LicenseInfo(id string) (LicenseInfoResponse, error) {
-	env, err := c.roundTripRoute(nil, TypeLicenseInfo, LicenseInfoRequest{ID: id})
-	if err != nil {
-		return LicenseInfoResponse{}, err
-	}
-	if env.Type != TypeLicenseInfo {
-		return LicenseInfoResponse{}, RemoteErr(env)
-	}
 	var resp LicenseInfoResponse
-	if err := DecodePayload(env, &resp); err != nil {
-		return LicenseInfoResponse{}, err
-	}
-	return resp, nil
+	err := c.call(nil, TypeLicenseInfo, LicenseInfoRequest{ID: id}, &resp)
+	return resp, err
 }
 
 // ReplPull fetches one replication batch: the server's durable WAL
 // records after position (gen, offset). Followers call it in a loop,
 // advancing their position by the returned NextOffset.
 func (c *Client) ReplPull(gen uint64, offset int64, maxBytes int) (ReplBatchResponse, error) {
-	env, err := c.roundTrip(TypeReplPull, ReplPullRequest{Gen: gen, Offset: offset, MaxBytes: maxBytes})
-	if err != nil {
-		return ReplBatchResponse{}, err
-	}
-	if env.Type != TypeReplBatch {
-		return ReplBatchResponse{}, RemoteErr(env)
-	}
 	var resp ReplBatchResponse
-	if err := DecodePayload(env, &resp); err != nil {
-		return ReplBatchResponse{}, err
-	}
-	return resp, nil
+	err := c.call(nil, TypeReplPull, ReplPullRequest{Gen: gen, Offset: offset, MaxBytes: maxBytes}, &resp)
+	return resp, err
 }
 
 // ObsPull fetches the server's observability snapshot (metric export,
 // trace dump, flight dump) over the channel. traceFilter, when non-empty,
 // narrows the trace dump to one hex TraceID.
 func (c *Client) ObsPull(traceFilter string) (ObsPullResponse, error) {
-	env, err := c.roundTrip(TypeObsPull, ObsPullRequest{Trace: traceFilter})
-	if err != nil {
-		return ObsPullResponse{}, err
-	}
-	if env.Type != TypeObsPull {
-		return ObsPullResponse{}, RemoteErr(env)
-	}
 	var resp ObsPullResponse
-	if err := DecodePayload(env, &resp); err != nil {
-		return ObsPullResponse{}, err
-	}
-	return resp, nil
+	err := c.call(nil, TypeObsPull, ObsPullRequest{Trace: traceFilter}, &resp)
+	return resp, err
 }
 
 var _ sllocal.RemoteAPI = (*Client)(nil)

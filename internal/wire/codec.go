@@ -34,10 +34,13 @@ var framePool = sync.Pool{
 
 const framePoolMaxCap = 64 << 10
 
-// writeMessageFast encodes one framed envelope into a pooled buffer —
-// 4-byte big-endian length header plus the JSON body — and writes it with
-// one Write call.
-func writeMessageFast(w io.Writer, msgType string, id uint64, payload any, tc *TraceContext) error {
+// WriteMessage frames and writes one envelope: msgType, a correlation ID
+// (0 omits the field), an optional trace context (nil for untraced
+// messages) and the payload. The frame — 4-byte big-endian length header
+// plus the JSON body — is encoded into a pooled buffer and written with
+// ONE Write call, so message boundaries align with Write boundaries
+// (which fault injectors that reorder or drop whole writes rely on).
+func WriteMessage(w io.Writer, msgType string, id uint64, payload any, tc *TraceContext) error {
 	bp := framePool.Get().(*[]byte)
 	buf := (*bp)[:0]
 	buf = append(buf, 0, 0, 0, 0) // header placeholder, patched below

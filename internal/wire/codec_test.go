@@ -78,8 +78,8 @@ func FuzzEnvelope(f *testing.F) {
 			p = env.Payload
 		}
 		var fast bytes.Buffer
-		if err := WriteMessageID(&fast, env.Type, env.ID, p, env.Trace); err != nil {
-			t.Fatalf("WriteMessageID: %v", err)
+		if err := WriteMessage(&fast, env.Type, env.ID, p, env.Trace); err != nil {
+			t.Fatalf("WriteMessage: %v", err)
 		}
 		if !bytes.Equal(fast.Bytes(), legacy) {
 			t.Fatalf("frame bytes diverge:\n got %q\nwant %q", fast.Bytes(), legacy)
@@ -110,12 +110,12 @@ func TestHotPathEncodingAllocs(t *testing.T) {
 	// none of its own.
 	var req any = RenewRequest{SLID: "slid-0001", License: "lic-throughput"}
 	// Warm the pool.
-	if err := WriteMessageID(io.Discard, TypeRenew, 1, req, nil); err != nil {
-		t.Fatalf("WriteMessageID: %v", err)
+	if err := WriteMessage(io.Discard, TypeRenew, 1, req, nil); err != nil {
+		t.Fatalf("WriteMessage: %v", err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := WriteMessageID(io.Discard, TypeRenew, 42, req, nil); err != nil {
-			t.Fatalf("WriteMessageID: %v", err)
+		if err := WriteMessage(io.Discard, TypeRenew, 42, req, nil); err != nil {
+			t.Fatalf("WriteMessage: %v", err)
 		}
 	})
 	if allocs > 0 {

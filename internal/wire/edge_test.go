@@ -16,7 +16,7 @@ import (
 func TestWriteMessageRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
 	huge := strings.Repeat("x", MaxMessageSize)
-	err := WriteMessage(&buf, TypeRenew, RenewRequest{SLID: huge, License: "l"})
+	err := WriteMessage(&buf, TypeRenew, 0, RenewRequest{SLID: huge, License: "l"}, nil)
 	if err == nil {
 		t.Fatal("oversize frame accepted")
 	}
@@ -24,7 +24,7 @@ func TestWriteMessageRejectsOversize(t *testing.T) {
 
 func TestWriteMessageUnmarshalablePayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, TypeOK, func() {}); err == nil {
+	if err := WriteMessage(&buf, TypeOK, 0, func() {}, nil); err == nil {
 		t.Fatal("unmarshalable payload accepted")
 	}
 }
@@ -47,7 +47,7 @@ func TestServerCloseIdempotentAndServeAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(remote, nil, ratls.Insecure())
+	srv, err := NewServer(remote, nil, ratls.Insecure(), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestMalformedPayloadsReturnErrors(t *testing.T) {
 	}
 	defer conn.Close()
 	// Valid envelope, garbage payload for a typed request.
-	if err := WriteMessage(conn, TypeRenew, "not-an-object"); err != nil {
+	if err := WriteMessage(conn, TypeRenew, 0, "not-an-object", nil); err != nil {
 		t.Fatal(err)
 	}
 	env, err := ReadMessage(conn)
@@ -156,7 +156,7 @@ func TestMalformedPayloadsReturnErrors(t *testing.T) {
 		t.Fatalf("reply = %q", env.Type)
 	}
 	// Escrow with a bad key length.
-	if err := WriteMessage(conn, TypeEscrow, EscrowRequest{SLID: "s", Key: []byte{1, 2}}); err != nil {
+	if err := WriteMessage(conn, TypeEscrow, 0, EscrowRequest{SLID: "s", Key: []byte{1, 2}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	env, err = ReadMessage(conn)

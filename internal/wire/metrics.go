@@ -7,6 +7,43 @@ import (
 	"repro/internal/obs"
 )
 
+// rpcType is one row of the request-type table: its index into the
+// resolved metric handles, the RPC span name (built once here, never per
+// RPC), and the reply type a successful request gets.
+type rpcType struct {
+	idx   int
+	span  string
+	reply string
+}
+
+// rpcLabels lists every request type, in metric-handle order. Each is its
+// own metric label; any other type collapses into "unknown", so a hostile
+// peer cannot grow label cardinality.
+var rpcLabels = [...]struct{ req, reply string }{
+	{TypeInit, TypeInit}, {TypeRenew, TypeRenew}, {TypeEscrow, TypeOK},
+	{TypeRegisterLicense, TypeOK}, {TypeReportCrash, TypeOK}, {TypeSetProfile, TypeOK},
+	{TypeLicenseInfo, TypeLicenseInfo}, {TypeConsume, TypeOK},
+	{TypeReplPull, TypeReplBatch}, {TypeObsPull, TypeObsPull}, {"unknown", ""},
+}
+
+// rpcTypes is the request-type table both ends consult per RPC, keyed by
+// message type; read-only after init.
+var rpcTypes = func() map[string]rpcType {
+	m := make(map[string]rpcType, len(rpcLabels))
+	for i, l := range rpcLabels {
+		m[l.req] = rpcType{idx: i, span: "rpc." + l.req, reply: l.reply}
+	}
+	return m
+}()
+
+// typeOf returns msgType's row, the "unknown" row for anything else.
+func typeOf(msgType string) rpcType {
+	if t, ok := rpcTypes[msgType]; ok {
+		return t
+	}
+	return rpcTypes["unknown"]
+}
+
 // rpcTypeMetrics is one message type's pre-resolved counter/histogram
 // handles. Resolving them once at ExposeMetrics time keeps the hot path
 // free of per-RPC label-map lookups.
@@ -16,21 +53,15 @@ type rpcTypeMetrics struct {
 	latency *obs.Histogram
 }
 
-// resolveTypeMetrics pre-resolves every known message type's handles (plus
-// the "unknown" bucket) from the three vectors. The returned map is
-// read-only after construction and therefore safe for concurrent lookups.
-func resolveTypeMetrics(rpcs, errs *obs.CounterVec, latency *obs.HistogramVec) map[string]rpcTypeMetrics {
-	labels := []string{
-		TypeInit, TypeRenew, TypeEscrow, TypeRegisterLicense,
-		TypeReportCrash, TypeSetProfile, TypeLicenseInfo, TypeConsume,
-		TypeReplPull, TypeObsPull, "unknown",
-	}
-	byType := make(map[string]rpcTypeMetrics, len(labels))
-	for _, l := range labels {
-		byType[l] = rpcTypeMetrics{
-			rpcs:    rpcs.With(l),
-			errors:  errs.With(l),
-			latency: latency.With(l),
+// resolveTypeMetrics pre-resolves every row's handles from the three
+// vectors, indexed by rpcType.idx.
+func resolveTypeMetrics(rpcs, errs *obs.CounterVec, latency *obs.HistogramVec) []rpcTypeMetrics {
+	byType := make([]rpcTypeMetrics, len(rpcLabels))
+	for i, l := range rpcLabels {
+		byType[i] = rpcTypeMetrics{
+			rpcs:    rpcs.With(l.req),
+			errors:  errs.With(l.req),
+			latency: latency.With(l.req),
 		}
 	}
 	return byType
@@ -39,14 +70,8 @@ func resolveTypeMetrics(rpcs, errs *obs.CounterVec, latency *obs.HistogramVec) m
 // clientMetrics holds the client's active metrics; nil until ExposeMetrics
 // runs. tracer may be nil (spans become no-ops).
 type clientMetrics struct {
-	byType map[string]rpcTypeMetrics // read-only after ExposeMetrics
+	byType []rpcTypeMetrics // by rpcType.idx; read-only after ExposeMetrics
 	tracer *obs.Tracer
-}
-
-// forType returns the pre-resolved handles for a message type label (the
-// caller passes rpcLabel output, so the lookup always hits).
-func (m *clientMetrics) forType(label string) rpcTypeMetrics {
-	return m.byType[label]
 }
 
 // ExposeMetrics registers the client's RPC metrics with an obs registry
@@ -57,8 +82,8 @@ func (m *clientMetrics) forType(label string) rpcTypeMetrics {
 // Metric inventory: wire_client_rpcs_total{type}, wire_client_rpc_errors_total{type},
 // wire_client_rpc_latency_seconds{type} (histogram), wire_client_bytes_sent_total,
 // wire_client_bytes_received_total, wire_client_dial_retries_total,
-// wire_client_redirects_total, wire_client_pool_hits_total,
-// wire_client_pool_misses_total, wire_client_wrong_id_total.
+// wire_client_redirects_total, wire_client_pool_misses_total,
+// wire_client_wrong_id_total.
 func (c *Client) ExposeMetrics(reg *obs.Registry, tr *obs.Tracer) {
 	if reg == nil {
 		return
@@ -69,11 +94,9 @@ func (c *Client) ExposeMetrics(reg *obs.Registry, tr *obs.Tracer) {
 		func() float64 { return float64(c.bytesIn.Load()) })
 	reg.CounterFunc("wire_client_dial_retries_total", "Connect attempts retried after a transient failure.", nil,
 		func() float64 { return float64(c.dialRetries.Load()) })
-	reg.CounterFunc("wire_client_redirects_total", "Connection pools re-pointed after a not-leader redirect.", nil,
+	reg.CounterFunc("wire_client_redirects_total", "Connections re-pointed after a not-leader redirect.", nil,
 		func() float64 { return float64(c.redirects.Load()) })
-	reg.CounterFunc("wire_client_pool_hits_total", "RPCs served by an already-open pooled connection.", nil,
-		func() float64 { return float64(c.poolHits.Load()) })
-	reg.CounterFunc("wire_client_pool_misses_total", "RPCs or redirect hops that had to dial a connection.", nil,
+	reg.CounterFunc("wire_client_pool_misses_total", "Connections a not-leader redirect had to dial.", nil,
 		func() float64 { return float64(c.poolMisses.Load()) })
 	reg.CounterFunc("wire_client_wrong_id_total", "Responses rejected for carrying no or an unknown correlation ID.", nil,
 		func() float64 { return float64(c.wrongID.Load()) })
@@ -90,13 +113,9 @@ func (c *Client) ExposeMetrics(reg *obs.Registry, tr *obs.Tracer) {
 // serverMetrics holds the server's active metrics; nil until ExposeMetrics
 // runs. tracer may be nil (spans become no-ops).
 type serverMetrics struct {
-	byType map[string]rpcTypeMetrics // read-only after ExposeMetrics
-	conns  *obs.Gauge                // wire_server_open_connections
+	byType []rpcTypeMetrics // by rpcType.idx; read-only after ExposeMetrics
+	conns  *obs.Gauge       // wire_server_open_connections
 	tracer *obs.Tracer
-}
-
-func (m *serverMetrics) forType(label string) rpcTypeMetrics {
-	return m.byType[label]
 }
 
 // ExposeMetrics registers the server's RPC metrics with an obs registry
@@ -130,19 +149,6 @@ func (s *Server) ExposeMetrics(reg *obs.Registry, tr *obs.Tracer) {
 		conns:  reg.Gauge("wire_server_open_connections", "Currently open client connections."),
 		tracer: tr,
 	})
-}
-
-// rpcLabel bounds metric label cardinality against hostile peers: unknown
-// message types collapse into one label value.
-func rpcLabel(msgType string) string {
-	switch msgType {
-	case TypeInit, TypeRenew, TypeEscrow, TypeRegisterLicense,
-		TypeReportCrash, TypeSetProfile, TypeLicenseInfo, TypeConsume,
-		TypeReplPull, TypeObsPull:
-		return msgType
-	default:
-		return "unknown"
-	}
 }
 
 // countWriter and countReader tally frame bytes into an atomic as they

@@ -7,51 +7,19 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/attest"
 	"repro/internal/lease"
 	"repro/internal/obs"
 	"repro/internal/ratls"
-	"repro/internal/slremote"
 )
 
 // startInstrumentedDeployment is startDeployment plus obs instrumentation
-// and an optional preDispatch hook, both installed before the serve
-// goroutine starts so tests stay race-clean.
+// and an optional preDispatch hook.
 func startInstrumentedDeployment(t *testing.T, reg *obs.Registry, tr *obs.Tracer, preDispatch func(Envelope)) *testDeployment {
 	t.Helper()
-	service := attest.NewService()
-	remote, err := slremote.NewServer(slremote.DefaultConfig(), service)
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	srv, err := NewServer(remote, t.Logf, ratls.Insecure())
-	if err != nil {
-		t.Fatalf("wire.NewServer: %v", err)
-	}
-	srv.ExposeMetrics(reg, tr)
-	srv.preDispatch = preDispatch
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	d := &testDeployment{
-		remote:  remote,
-		service: service,
-		server:  srv,
-		addr:    ln.Addr().String(),
-		done:    make(chan struct{}),
-	}
-	go func() {
-		defer close(d.done)
-		if err := srv.Serve(ln); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	t.Cleanup(func() {
-		srv.Close()
-		<-d.done
+	return serveDeployment(t, listen(t), nil, func(srv *Server) {
+		srv.ExposeMetrics(reg, tr)
+		srv.preDispatch = preDispatch
 	})
-	return d
 }
 
 func TestWireMetricsEndToEnd(t *testing.T) {
@@ -174,9 +142,9 @@ func TestRoundTripDeadline(t *testing.T) {
 		}
 	}()
 
-	client, err := DialTimeout(ln.Addr().String(), 150*time.Millisecond, ratls.Insecure())
+	client, err := DialPolicy(ln.Addr().String(), 150*time.Millisecond, ratls.Insecure(), DefaultRetryPolicy(1))
 	if err != nil {
-		t.Fatalf("DialTimeout: %v", err)
+		t.Fatalf("DialPolicy: %v", err)
 	}
 	defer client.Close()
 

@@ -30,7 +30,7 @@ func startPipeDeployment(t testing.TB, wrap func(net.Listener) net.Listener) *pi
 	if err != nil {
 		t.Fatalf("slremote.NewServer: %v", err)
 	}
-	srv, err := NewServer(remote, t.Logf, ratls.Insecure())
+	srv, err := NewServer(remote, t.Logf, ratls.Insecure(), nil, nil, nil)
 	if err != nil {
 		t.Fatalf("wire.NewServer: %v", err)
 	}
@@ -98,9 +98,8 @@ func TestPipelinedDemuxRaceStress(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer client.Close()
-	// Default pool size 1: every worker below pipelines on the same
-	// connection, so the demux reader is the only thing keeping replies
-	// straight.
+	// One connection: every worker below pipelines on it, so the demux
+	// reader is the only thing keeping replies straight.
 
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -158,11 +157,8 @@ func TestPipelinedDemuxRaceStress(t *testing.T) {
 	if got := client.wrongID.Load(); got != 0 {
 		t.Errorf("wrong-ID responses = %d, want 0 (server echoed a bad correlation ID)", got)
 	}
-	client.mu.Lock()
-	conns := len(client.conns)
-	client.mu.Unlock()
-	if conns != 1 {
-		t.Errorf("connections used = %d, want 1 (workload escaped the pipelined conn)", conns)
+	if got := client.poolMisses.Load(); got != 0 {
+		t.Errorf("connections dialed after Dial = %d, want 0 (workload escaped the pipelined conn)", got)
 	}
 	reorders := 0
 	for _, ev := range dir.Trace() {
@@ -262,9 +258,9 @@ func TestPipelinedWrongIDRejected(t *testing.T) {
 			// First a poisoned reply under a bogus ID, then the real one.
 			// Delivering the poison to the waiter would hand it a license
 			// that does not exist.
-			_ = WriteMessageID(conn, TypeLicenseInfo, env.ID+1000,
+			_ = WriteMessage(conn, TypeLicenseInfo, env.ID+1000,
 				LicenseInfoResponse{ID: "poison", TotalGCL: 666}, nil)
-			_ = WriteMessageID(conn, TypeLicenseInfo, env.ID,
+			_ = WriteMessage(conn, TypeLicenseInfo, env.ID,
 				LicenseInfoResponse{ID: "real", TotalGCL: 7}, nil)
 		}
 	}()

@@ -96,14 +96,14 @@ func TestDialRetriesCountedAccurately(t *testing.T) {
 // license: the other server's gate redirects to it.
 func startShardPair(t *testing.T) (stale, owner *testDeployment) {
 	t.Helper()
-	stale, owner = startDeployment(t), startDeployment(t)
-	leader := owner.addr
-	stale.server.SetShardGate(func(licenseID string) (string, uint64, bool) {
+	staleLn, ownerLn := listen(t), listen(t)
+	leader := ownerLn.Addr().String()
+	stale = serveDeployment(t, staleLn, func(licenseID string) (string, uint64, bool) {
 		return leader, 7, false
-	})
-	owner.server.SetShardGate(func(licenseID string) (string, uint64, bool) {
+	}, nil)
+	owner = serveDeployment(t, ownerLn, func(licenseID string) (string, uint64, bool) {
 		return leader, 7, true
-	})
+	}, nil)
 	return stale, owner
 }
 
@@ -153,10 +153,10 @@ func TestClientFollowsNotLeaderRedirect(t *testing.T) {
 func TestClientRedirectLoopAndLeaderlessShard(t *testing.T) {
 	// Two stale servers pointing at each other: the hop bound turns the
 	// routing loop into ErrNotLeader instead of ping-ponging forever.
-	a, b := startDeployment(t), startDeployment(t)
-	addrA, addrB := a.addr, b.addr
-	a.server.SetShardGate(func(string) (string, uint64, bool) { return addrB, 1, false })
-	b.server.SetShardGate(func(string) (string, uint64, bool) { return addrA, 1, false })
+	lnA, lnB := listen(t), listen(t)
+	addrA, addrB := lnA.Addr().String(), lnB.Addr().String()
+	serveDeployment(t, lnA, func(string) (string, uint64, bool) { return addrB, 1, false }, nil)
+	serveDeployment(t, lnB, func(string) (string, uint64, bool) { return addrA, 1, false }, nil)
 
 	client, err := DialPolicy(addrA, time.Second, ratls.Insecure(), RetryPolicy{Attempts: 2, Base: time.Millisecond, Seed: 5})
 	if err != nil {
@@ -169,8 +169,7 @@ func TestClientRedirectLoopAndLeaderlessShard(t *testing.T) {
 
 	// A shard mid-failover names no leader: the client fails fast rather
 	// than redialing anywhere.
-	leaderless := startDeployment(t)
-	leaderless.server.SetShardGate(func(string) (string, uint64, bool) { return "", 2, false })
+	leaderless := serveDeployment(t, listen(t), func(string) (string, uint64, bool) { return "", 2, false }, nil)
 	c2, err := DialPolicy(leaderless.addr, time.Second, ratls.Insecure(), RetryPolicy{Attempts: 2, Base: time.Millisecond, Seed: 5})
 	if err != nil {
 		t.Fatalf("DialPolicy: %v", err)
@@ -200,14 +199,10 @@ func TestReplPullStreamsWALOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RecoverServer: %v", err)
 	}
-	srv, err := NewServer(leader, t.Logf, ratls.Insecure())
+	ln := listen(t)
+	srv, err := NewServer(leader, t.Logf, ratls.Insecure(), nil, st, nil)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
-	}
-	srv.SetReplSource(st)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
 	}
 	done := make(chan struct{})
 	go func() { defer close(done); _ = srv.Serve(ln) }()

@@ -51,16 +51,10 @@ type Server struct {
 	// handler panics through it).
 	preDispatch func(Envelope)
 
-	// gate, when set, is consulted before every license-scoped request;
-	// requests for hash ranges this server does not own are answered with
-	// TypeNotLeader instead of being served. Guarded by mu.
-	gate ShardGate
-	// replSource, when set, serves TypeReplPull from the server's WAL.
-	// Guarded by mu.
+	// Fixed at construction (see NewServer).
+	gate       ShardGate
 	replSource ReplSource
-	// obsSource, when set, serves TypeObsPull (attested-channel scraping).
-	// Guarded by mu.
-	obsSource ObsSource
+	obsSource  ObsSource
 }
 
 // ShardGate decides license ownership for a sharded deployment: it returns
@@ -80,33 +74,10 @@ type ReplSource interface {
 // JSON/base64 expansion.
 const DefaultReplBatchBytes = 4 << 20
 
-// SetShardGate installs the cluster router's ownership check. Pass nil to
-// own every license again (e.g. after the last shard merges).
-func (s *Server) SetShardGate(g ShardGate) {
-	s.mu.Lock()
-	s.gate = g
-	s.mu.Unlock()
-}
-
-// SetReplSource exposes the server's WAL to follower pulls.
-func (s *Server) SetReplSource(src ReplSource) {
-	s.mu.Lock()
-	s.replSource = src
-	s.mu.Unlock()
-}
-
 // ObsSource builds the server's observability snapshot for one TypeObsPull
 // request: the caller wires a closure over its registry, tracer, and flight
 // recorder.
 type ObsSource func(traceFilter string) ObsPullResponse
-
-// SetObsSource enables attested-channel scraping of this server's
-// observability state. Pass nil to disable.
-func (s *Server) SetObsSource(src ObsSource) {
-	s.mu.Lock()
-	s.obsSource = src
-	s.mu.Unlock()
-}
 
 // SetFlightRecorder wires the black-box flight recorder; the server emits
 // routing and drain events into it. A nil recorder (the default) is free.
@@ -114,29 +85,16 @@ func (s *Server) SetFlightRecorder(rec *flight.Recorder) {
 	s.flight.Store(rec)
 }
 
-func (s *Server) shardGate() ShardGate {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gate
-}
-
-func (s *Server) replSrc() ReplSource {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replSource
-}
-
-func (s *Server) obsSrc() ObsSource {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.obsSource
-}
-
 // NewServer wraps a license server for network serving. logf may be nil
 // (silent). rc selects the channel every accepted connection must speak:
 // an attested ratls config for production, ratls.Insecure() for
-// plaintext paths.
-func NewServer(remote *slremote.Server, logf func(string, ...any), rc *ratls.Config) (*Server, error) {
+// plaintext paths. The rest is fixed for the server's lifetime, and nil
+// turns each off: gate is consulted before every license-scoped request,
+// and requests for hash ranges this server does not own are answered with
+// TypeNotLeader (nil: the server owns every license); repl serves
+// TypeReplPull from the server's WAL; obsSrc serves TypeObsPull
+// (attested-channel scraping).
+func NewServer(remote *slremote.Server, logf func(string, ...any), rc *ratls.Config, gate ShardGate, repl ReplSource, obsSrc ObsSource) (*Server, error) {
 	if remote == nil {
 		return nil, errors.New("wire: nil SL-Remote")
 	}
@@ -146,7 +104,10 @@ func NewServer(remote *slremote.Server, logf func(string, ...any), rc *ratls.Con
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Server{remote: remote, logf: logf, rc: rc, conns: make(map[net.Conn]*connState)}, nil
+	return &Server{
+		remote: remote, logf: logf, rc: rc, conns: make(map[net.Conn]*connState),
+		gate: gate, replSource: repl, obsSource: obsSrc,
+	}, nil
 }
 
 // connState tracks what Shutdown needs to know about one connection: how
@@ -156,36 +117,6 @@ func NewServer(remote *slremote.Server, logf func(string, ...any), rc *ratls.Con
 type connState struct {
 	busy    int
 	counted bool
-}
-
-// connWriter serializes reply frames from concurrent handler goroutines
-// onto one connection, echoing each request's correlation ID so the
-// client's demux reader can deliver the reply to the right waiter.
-// Replies coalesce: each frame lands in a buffered writer, and only the
-// last writer in a burst pays the Write syscall (pend tracks queued
-// writers; whoever decrements it to zero flushes). A lone reply flushes
-// immediately, so a one-at-a-time peer pays no added latency.
-type connWriter struct {
-	pend atomic.Int64 // writers queued for mu; the one that drops it to 0 flushes
-	mu   sync.Mutex
-	bw   *bufio.Writer // guardedby: mu
-}
-
-func newConnWriter(w io.Writer) *connWriter {
-	return &connWriter{bw: bufio.NewWriterSize(w, 32<<10)}
-}
-
-func (cw *connWriter) reply(id uint64, msgType string, payload any) error {
-	cw.pend.Add(1)
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	err := WriteMessageID(cw.bw, msgType, id, payload, nil)
-	if cw.pend.Add(-1) == 0 {
-		if ferr := cw.bw.Flush(); err == nil {
-			err = ferr
-		}
-	}
-	return err
 }
 
 // Serve accepts connections until the listener is closed (by Close).
@@ -367,7 +298,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.logf("wire: handshake with %s: %v", conn.RemoteAddr(), err)
 		return
 	}
-	cw := newConnWriter(countWriter{wc, &s.bytesOut})
+	fw := newFrameWriter(wc, &s.bytesOut, 0)
 	// Buffered reads: ReadMessage costs two Reads per frame (header, body);
 	// over a pipelined connection many frames arrive back-to-back, so a
 	// read buffer turns 2N syscalls into ~N/batch.
@@ -389,7 +320,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.wg.Add(1)
 		go func(env Envelope) {
 			defer s.wg.Done()
-			herr := s.handleEnvelope(wc, cw, env)
+			herr := s.handleEnvelope(wc, fw, env)
 			stop := s.endEnvelope(conn)
 			if herr != nil {
 				s.logf("wire: reply to %s: %v", conn.RemoteAddr(), herr)
@@ -407,14 +338,14 @@ func (s *Server) handle(conn net.Conn) {
 // panic is counted, logged, and answered with an error envelope instead of
 // killing the handler goroutine silently. The returned error is a
 // transport failure (the connection is then dropped).
-func (s *Server) handleEnvelope(conn net.Conn, cw *connWriter, env Envelope) (err error) {
+func (s *Server) handleEnvelope(conn net.Conn, fw *frameWriter, env Envelope) (err error) {
 	m := s.metrics.Load()
-	var tr *obs.Tracer
-	if m != nil {
-		tr = m.tracer
+	typ := typeOf(env.Type)
+	var span *obs.Span
+	if m != nil && m.tracer != nil {
+		span = m.tracer.StartLinked(typ.span, extractSpanContext(env))
+		span.Annotate("remote", conn.RemoteAddr().String())
 	}
-	span := tr.StartLinked("rpc."+rpcLabel(env.Type), extractSpanContext(env))
-	span.Annotate("remote", conn.RemoteAddr().String())
 	start := time.Now()
 	// done finishes the handler span and records the RPC metrics exactly
 	// once: the normal path and the panic path both call it, and a panic
@@ -427,7 +358,7 @@ func (s *Server) handleEnvelope(conn net.Conn, cw *connWriter, env Envelope) (er
 		}
 		finished = true
 		if m != nil {
-			rm := m.forType(rpcLabel(env.Type))
+			rm := m.byType[typ.idx]
 			rm.rpcs.Inc()
 			rm.latency.Observe(time.Since(start).Seconds())
 		}
@@ -438,14 +369,14 @@ func (s *Server) handleEnvelope(conn net.Conn, cw *connWriter, env Envelope) (er
 			s.panics.Add(1)
 			s.logf("wire: panic handling %q from %s: %v", env.Type, conn.RemoteAddr(), r)
 			done(fmt.Errorf("panic: %v", r))
-			err = cw.reply(env.ID, TypeError,
-				ErrorResponse{Message: fmt.Sprintf("internal error handling %q", env.Type)})
+			err = fw.write(TypeError, env.ID,
+				ErrorResponse{Message: fmt.Sprintf("internal error handling %q", env.Type)}, nil)
 		}
 	}()
 	if s.preDispatch != nil {
 		s.preDispatch(env)
 	}
-	err = s.dispatch(conn, cw, env, span)
+	err = s.dispatch(conn, fw, env, typ, span)
 	done(err)
 	return err
 }
@@ -464,15 +395,15 @@ func extractSpanContext(env Envelope) obs.SpanContext {
 	return obs.SpanContext{Trace: id, Span: env.Trace.SpanID}
 }
 
-func (s *Server) dispatch(conn net.Conn, cw *connWriter, env Envelope, span *obs.Span) error {
+func (s *Server) dispatch(conn net.Conn, fw *frameWriter, env Envelope, typ rpcType, span *obs.Span) error {
 	// reply frames one response, serialized against concurrent handlers on
 	// the same connection and carrying the request's correlation ID.
 	reply := func(msgType string, payload any) error {
-		return cw.reply(env.ID, msgType, payload)
+		return fw.write(msgType, env.ID, payload, nil)
 	}
 	fail := func(err error) error {
 		if m := s.metrics.Load(); m != nil {
-			m.forType(rpcLabel(env.Type)).errors.Inc()
+			m.byType[typ.idx].errors.Inc()
 		}
 		return reply(TypeError, ErrorResponse{Message: err.Error()})
 	}
@@ -480,11 +411,10 @@ func (s *Server) dispatch(conn net.Conn, cw *connWriter, env Envelope, span *obs
 	// leader when this server's gate disowns the license. A not-leader
 	// reply is routing, not failure: it is not counted as an RPC error.
 	redirect := func(license string) (bool, error) {
-		g := s.shardGate()
-		if g == nil {
+		if s.gate == nil {
 			return false, nil
 		}
-		leader, epoch, owned := g(license)
+		leader, epoch, owned := s.gate(license)
 		if owned {
 			return false, nil
 		}
@@ -537,7 +467,9 @@ func (s *Server) dispatch(conn net.Conn, cw *connWriter, env Envelope, span *obs
 			child.End(err)
 			return fail(err)
 		}
-		child.Annotate("units", strconv.FormatInt(grant.Units, 10))
+		if child != nil {
+			child.Annotate("units", strconv.FormatInt(grant.Units, 10))
+		}
 		child.End(nil)
 		return reply(TypeRenew, RenewResponse{
 			Units:      grant.Units,
@@ -633,8 +565,7 @@ func (s *Server) dispatch(conn net.Conn, cw *connWriter, env Envelope, span *obs
 		})
 
 	case TypeReplPull:
-		src := s.replSrc()
-		if src == nil {
+		if s.replSource == nil {
 			return fail(errors.New("replication not enabled on this server"))
 		}
 		var req ReplPullRequest
@@ -646,8 +577,10 @@ func (s *Server) dispatch(conn net.Conn, cw *connWriter, env Envelope, span *obs
 			maxBytes = DefaultReplBatchBytes
 		}
 		child := span.Child("store.tail")
-		b, err := src.TailSince(req.Gen, req.Offset, maxBytes)
-		child.Annotate("records", strconv.Itoa(len(b.Records)))
+		b, err := s.replSource.TailSince(req.Gen, req.Offset, maxBytes)
+		if child != nil {
+			child.Annotate("records", strconv.Itoa(len(b.Records)))
+		}
 		child.End(err)
 		if err != nil {
 			return fail(err)
@@ -662,28 +595,16 @@ func (s *Server) dispatch(conn net.Conn, cw *connWriter, env Envelope, span *obs
 		})
 
 	case TypeObsPull:
-		src := s.obsSrc()
-		if src == nil {
+		if s.obsSource == nil {
 			return fail(errors.New("observability pull not enabled on this server"))
 		}
 		var req ObsPullRequest
 		if err := DecodePayload(env, &req); err != nil {
 			return fail(err)
 		}
-		return reply(TypeObsPull, src(req.Trace))
+		return reply(TypeObsPull, s.obsSource(req.Trace))
 
 	default:
 		return fail(fmt.Errorf("unknown message type %q", env.Type))
 	}
-}
-
-// ListenAndServe is a convenience for the daemon binary: listen on addr
-// and serve until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("wire: listen %s: %w", addr, err)
-	}
-	s.logf("sl-remote: listening on %s", ln.Addr())
-	return s.Serve(ln)
 }

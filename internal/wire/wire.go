@@ -6,19 +6,27 @@
 //
 // The protocol carries the three SL-Local→SL-Remote operations (init,
 // renew, escrow) plus administrative calls (license registration, crash
-// reports, profile updates). Payload confidentiality/authenticity in a
-// real deployment would ride on the RA-derived session key; the simulation
-// transports structured plaintext and enforces trust via the attestation
-// layer's quote verification, which is the part the paper's design
-// depends on.
+// reports, profile updates). A Client speaks it over one pipelined
+// connection, and every RPC takes one request path from request frame to
+// decoded reply; both ends write frames through one coalescing frame
+// writer, and WriteMessage is the one framing entry point. Payload
+// confidentiality/authenticity in a real deployment would ride on the
+// RA-derived session key; the simulation transports structured plaintext
+// and enforces trust via the attestation layer's quote verification,
+// which is the part the paper's design depends on.
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/attest"
 )
@@ -218,24 +226,43 @@ var ErrRemote = errors.New("wire: remote error")
 // all (the shard is mid-failover).
 var ErrNotLeader = errors.New("wire: not the shard leader")
 
-// WriteMessage frames and writes one envelope.
-func WriteMessage(w io.Writer, msgType string, payload any) error {
-	return WriteMessageID(w, msgType, 0, payload, nil)
+// frameWriter serializes frames from concurrent goroutines onto one
+// connection; the client's requests and the server's replies both go
+// through it. Frames coalesce: each lands in a buffered writer, and only
+// the last writer in a burst pays the Write syscall (pend counts writers
+// queued for mu; whoever drops it to zero flushes). A lone frame flushes
+// immediately, so a one-at-a-time peer pays no added latency.
+type frameWriter struct {
+	pend    atomic.Int64
+	mu      sync.Mutex
+	bw      *bufio.Writer // guardedby: mu — buffers frames onto conn
+	conn    net.Conn
+	timeout time.Duration // write deadline per frame, bounding a peer that stopped reading (0: none)
 }
 
-// WriteMessageTrace is WriteMessage with an optional trace context
-// injected into the envelope (nil tc for untraced messages).
-func WriteMessageTrace(w io.Writer, msgType string, payload any, tc *TraceContext) error {
-	return WriteMessageID(w, msgType, 0, payload, tc)
+// newFrameWriter buffers frames onto conn, counting written bytes into n.
+func newFrameWriter(conn net.Conn, n *atomic.Int64, timeout time.Duration) *frameWriter {
+	return &frameWriter{bw: bufio.NewWriterSize(countWriter{conn, n}, 32<<10), conn: conn, timeout: timeout}
 }
 
-// WriteMessageID is WriteMessageTrace with a correlation ID (0 omits the
-// field, byte-identical to the pre-pipelining framing). The frame is
-// encoded into a pooled buffer and written with ONE Write call — header
-// and body together — so message boundaries align with Write boundaries
-// (which fault injectors that reorder or drop whole writes rely on).
-func WriteMessageID(w io.Writer, msgType string, id uint64, payload any, tc *TraceContext) error {
-	return writeMessageFast(w, msgType, id, payload, tc)
+// write frames one envelope (see WriteMessage) onto the connection.
+func (fw *frameWriter) write(msgType string, id uint64, payload any, tc *TraceContext) error {
+	fw.pend.Add(1)
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if fw.timeout > 0 {
+		_ = fw.conn.SetWriteDeadline(time.Now().Add(fw.timeout))
+	}
+	err := WriteMessage(fw.bw, msgType, id, payload, tc)
+	if fw.pend.Add(-1) == 0 {
+		// Last writer in the burst: one Write syscall for every coalesced
+		// frame. A writer that skips this has a successor already queued
+		// on mu who will flush for it.
+		if ferr := fw.bw.Flush(); err == nil {
+			err = ferr
+		}
+	}
+	return err
 }
 
 // ReadMessage reads one envelope.

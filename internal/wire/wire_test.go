@@ -18,7 +18,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, TypeRenew, RenewRequest{SLID: "s", License: "l"}); err != nil {
+	if err := WriteMessage(&buf, TypeRenew, 0, RenewRequest{SLID: "s", License: "l"}, nil); err != nil {
 		t.Fatalf("WriteMessage: %v", err)
 	}
 	env, err := ReadMessage(&buf)
@@ -77,18 +77,36 @@ type testDeployment struct {
 
 func startDeployment(t *testing.T) *testDeployment {
 	t.Helper()
+	return serveDeployment(t, listen(t), nil, nil)
+}
+
+// listen opens a loopback listener. Tests whose server needs an address
+// before it exists (a shard gate naming a peer) listen first.
+func listen(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	return ln
+}
+
+// serveDeployment serves a fresh SL-Remote on ln behind gate (nil: it
+// owns every license). setup, when set, configures the server before the
+// serve goroutine starts, so tests stay race-clean.
+func serveDeployment(t *testing.T, ln net.Listener, gate ShardGate, setup func(*Server)) *testDeployment {
+	t.Helper()
 	service := attest.NewService()
 	remote, err := slremote.NewServer(slremote.DefaultConfig(), service)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
-	srv, err := NewServer(remote, t.Logf, ratls.Insecure())
+	srv, err := NewServer(remote, t.Logf, ratls.Insecure(), gate, nil, nil)
 	if err != nil {
 		t.Fatalf("wire.NewServer: %v", err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
+	if setup != nil {
+		setup(srv)
 	}
 	d := &testDeployment{
 		remote:  remote,
@@ -111,14 +129,14 @@ func startDeployment(t *testing.T) *testDeployment {
 }
 
 func TestServerRejectsNil(t *testing.T) {
-	if _, err := NewServer(nil, nil, ratls.Insecure()); err == nil {
+	if _, err := NewServer(nil, nil, ratls.Insecure(), nil, nil, nil); err == nil {
 		t.Fatal("nil remote accepted")
 	}
 	remote, err := slremote.NewServer(slremote.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatalf("slremote.NewServer: %v", err)
 	}
-	if _, err := NewServer(remote, nil, nil); !errors.Is(err, ErrNilChannelConfig) {
+	if _, err := NewServer(remote, nil, nil, nil, nil, nil); !errors.Is(err, ErrNilChannelConfig) {
 		t.Fatalf("nil channel config: got %v, want ErrNilChannelConfig", err)
 	}
 	if _, err := Dial("127.0.0.1:0", nil); !errors.Is(err, ErrNilChannelConfig) {
@@ -261,7 +279,7 @@ func TestUnknownMessageType(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer conn.Close()
-	if err := WriteMessage(conn, "bogus", nil); err != nil {
+	if err := WriteMessage(conn, "bogus", 0, nil, nil); err != nil {
 		t.Fatalf("WriteMessage: %v", err)
 	}
 	env, err := ReadMessage(conn)
@@ -296,7 +314,7 @@ func TestQuoteCodecRoundTrip(t *testing.T) {
 	// The envelope carries attest.Quote directly; framing it and decoding
 	// it back must reproduce the quote bit for bit.
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, TypeInit, InitRequest{SLID: "s", Quote: q}); err != nil {
+	if err := WriteMessage(&buf, TypeInit, 0, InitRequest{SLID: "s", Quote: q}, nil); err != nil {
 		t.Fatalf("WriteMessage: %v", err)
 	}
 	env, err := ReadMessage(&buf)
