@@ -17,9 +17,11 @@
 // Findings can be suppressed with a justified comment on or above the
 // flagged line:
 //
-//	//sllint:ignore walorder replay folds records already durable in the WAL; logging them again would double-append
+//	//sllint:ignore <check> <reason...>
 //
-// A suppression without a written reason is itself a finding. Exit codes:
+// for example a walorder suppression whose reason says that replay folds
+// records already durable in the WAL, so logging them again would
+// double-append. A suppression without a written reason is itself a finding. Exit codes:
 // 0 clean, 1 findings, 2 usage or load failure.
 package main
 

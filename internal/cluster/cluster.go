@@ -176,23 +176,33 @@ func (c *Cluster) ObsTargets() []*NodeObs {
 	return out
 }
 
-// startLeader starts shard's next leader incarnation in a fresh state
-// directory.
+// startLeader starts shard's first leader incarnation.
 func (c *Cluster) startLeader(s *shardState, shard int) (*Node, error) {
-	dir := c.incarnationDir(shard, s.incarnation)
+	opts, err := c.nextLeader(s, shard)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Obs, err = c.newNodeObs(fmt.Sprintf("shard%d-n%d", shard, s.incarnation-1)); err != nil {
+		return nil, err
+	}
+	return StartNode(opts)
+}
+
+// nextLeader prepares shard's next leader incarnation, first boot and
+// failover alike: a fresh state directory (a promoted follower never
+// writes into its dead leader's files), a channel of its own, and the
+// cluster-wide settings every incarnation shares.
+func (c *Cluster) nextLeader(s *shardState, shard int) (NodeOptions, error) {
+	dir := filepath.Join(c.opts.Dir, fmt.Sprintf("shard-%d-n%d", shard, s.incarnation))
 	s.incarnation++
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("cluster: shard %d state dir: %w", shard, err)
+		return NodeOptions{}, fmt.Errorf("cluster: shard %d state dir: %w", shard, err)
 	}
 	ch, err := c.opts.NewChannel(fmt.Sprintf("shard-%d-leader", shard))
 	if err != nil {
-		return nil, err
+		return NodeOptions{}, err
 	}
-	o, err := c.newNodeObs(fmt.Sprintf("shard%d-n%d", shard, s.incarnation-1))
-	if err != nil {
-		return nil, err
-	}
-	return StartNode(NodeOptions{
+	return NodeOptions{
 		Shard:         shard,
 		Dir:           dir,
 		SealKey:       c.opts.SealKey,
@@ -203,9 +213,8 @@ func (c *Cluster) startLeader(s *shardState, shard int) (*Node, error) {
 		Audit:         s.audit,
 		SyncMode:      c.opts.SyncMode,
 		SnapshotEvery: c.opts.SnapshotEvery,
-		Obs:           o,
 		Logf:          c.opts.Logf,
-	})
+	}, nil
 }
 
 func (c *Cluster) startFollower(s *shardState, shard int, leaderAddr string) (*Follower, error) {
@@ -229,10 +238,6 @@ func (c *Cluster) startFollower(s *shardState, shard int, leaderAddr string) (*F
 		Metrics:      c.metrics,
 		Obs:          o,
 	})
-}
-
-func (c *Cluster) incarnationDir(shard, incarnation int) string {
-	return filepath.Join(c.opts.Dir, fmt.Sprintf("shard-%d-n%d", shard, incarnation))
 }
 
 // Directory returns the routing directory.
@@ -306,28 +311,11 @@ func (c *Cluster) FailOver(shard int) error {
 		return err
 	}
 	s.leader.Kill()
-	dir := c.incarnationDir(shard, s.incarnation)
-	s.incarnation++
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("cluster: shard %d state dir: %w", shard, err)
-	}
-	ch, err := c.opts.NewChannel(fmt.Sprintf("shard-%d-leader", shard))
+	opts, err := c.nextLeader(s, shard)
 	if err != nil {
 		return err
 	}
-	node, err := s.follower.Promote(NodeOptions{
-		Shard:         shard,
-		Dir:           dir,
-		SealKey:       c.opts.SealKey,
-		Config:        c.opts.Config,
-		Service:       c.opts.Service,
-		Channel:       ch,
-		Directory:     c.dir,
-		Audit:         s.audit,
-		SyncMode:      c.opts.SyncMode,
-		SnapshotEvery: c.opts.SnapshotEvery,
-		Logf:          c.opts.Logf,
-	})
+	node, err := s.follower.Promote(opts)
 	if err != nil {
 		return fmt.Errorf("cluster: shard %d promote: %w", shard, err)
 	}

@@ -121,29 +121,21 @@ func (f *Follower) loop() {
 func (f *Follower) pullOnce() (caught bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	resp, err := f.client.ReplPull(f.gen, f.off, 0)
+	batch, err := f.client.ReplPull(f.gen, f.off, 0)
 	if err != nil {
 		return false, err
 	}
 	f.opts.Metrics.pull()
 	f.obsm.pull()
-	batch := store.TailBatch{
-		Gen:        resp.Gen,
-		Rebase:     resp.Rebase,
-		Snapshot:   resp.Snapshot,
-		Records:    resp.Records,
-		NextOffset: resp.NextOffset,
-		Tip:        resp.Tip,
-	}
 	n, err := f.replica.ApplyBatch(batch)
 	f.opts.Metrics.appliedRecords(f.opts.Shard, n)
 	f.obsm.appliedRecords(f.opts.Shard, n)
 	if err != nil {
 		return false, fmt.Errorf("cluster: shard %d follower apply: %w", f.opts.Shard, err)
 	}
-	f.gen, f.off = resp.Gen, resp.NextOffset
-	f.opts.Metrics.setLag(f.opts.Shard, resp.Tip-resp.NextOffset)
-	f.obsm.setLag(f.opts.Shard, resp.Tip-resp.NextOffset)
+	f.gen, f.off = batch.Gen, batch.NextOffset
+	f.opts.Metrics.setLag(f.opts.Shard, batch.Tip-batch.NextOffset)
+	f.obsm.setLag(f.opts.Shard, batch.Tip-batch.NextOffset)
 	return batch.Caught(), nil
 }
 
@@ -218,26 +210,13 @@ func (f *Follower) Promote(opts NodeOptions) (*Node, error) {
 		// event timeline stay continuous across the role change.
 		opts.Obs = f.opts.Obs
 	}
-	st, rec, err := store.Open(store.Options{
-		Dir: opts.Dir, Mode: opts.SyncMode, Metrics: opts.Obs.StoreMetrics(),
+	n, err := bootNode(opts, func(st *store.Store, rec *store.Recovered) (*slremote.Server, error) {
+		if !rec.Empty() {
+			return nil, fmt.Errorf("cluster: shard %d promote: directory %s already holds state", opts.Shard, opts.Dir)
+		}
+		return f.replica.Promote(opts.persistence(st))
 	})
 	if err != nil {
-		return nil, fmt.Errorf("cluster: shard %d promote store: %w", opts.Shard, err)
-	}
-	if !rec.Empty() {
-		st.Close()
-		return nil, fmt.Errorf("cluster: shard %d promote: directory %s already holds state", opts.Shard, opts.Dir)
-	}
-	remote, err := f.replica.Promote(slremote.PersistConfig{
-		Log: st, Snap: st, SealKey: opts.SealKey, SnapshotEvery: opts.SnapshotEvery,
-	})
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	n, err := serveNode(opts, st, remote)
-	if err != nil {
-		st.Close()
 		return nil, err
 	}
 	opts.Obs.flightRec().Emit("failover.promote",

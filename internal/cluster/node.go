@@ -92,34 +92,50 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		}
 		return serveNode(opts, nil, remote)
 	}
+	return bootNode(opts, func(st *store.Store, rec *store.Recovered) (*slremote.Server, error) {
+		remote, err := slremote.RecoverServer(opts.Config, opts.Service, rec, opts.persistence(st))
+		if err != nil {
+			return nil, fmt.Errorf("cluster: shard %d server: %w", opts.Shard, err)
+		}
+		if opts.Logf != nil && !rec.Empty() {
+			opts.Logf("recovered state from %s (generation %d, %d WAL records replayed, licenses: %s)",
+				opts.Dir, rec.Generation, len(rec.Records), strings.Join(remote.LicenseIDs(), ", "))
+		}
+		return remote, nil
+	})
+}
+
+// bootNode is the one durable boot path — open the store in opts.Dir,
+// attach a server to it, serve — shared by StartNode (attach recovers
+// whatever the directory holds) and Follower.Promote (attach promotes the
+// replica onto the fresh directory). The store closes on any failure.
+func bootNode(opts NodeOptions, attach func(*store.Store, *store.Recovered) (*slremote.Server, error)) (*Node, error) {
 	st, rec, err := store.Open(store.Options{
 		Dir: opts.Dir, Mode: opts.SyncMode, Metrics: opts.Obs.StoreMetrics(),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: shard %d store: %w", opts.Shard, err)
 	}
-	remote, err := slremote.RecoverServer(opts.Config, opts.Service, rec, slremote.PersistConfig{
-		Log: st, Snap: st, SealKey: opts.SealKey, SnapshotEvery: opts.SnapshotEvery,
-	})
-	if err != nil {
-		st.Close()
-		return nil, fmt.Errorf("cluster: shard %d server: %w", opts.Shard, err)
+	remote, err := attach(st, rec)
+	if err == nil {
+		var n *Node
+		if n, err = serveNode(opts, st, remote); err == nil {
+			return n, nil
+		}
 	}
-	if opts.Logf != nil && !rec.Empty() {
-		opts.Logf("recovered state from %s (generation %d, %d WAL records replayed, licenses: %s)",
-			opts.Dir, rec.Generation, len(rec.Records), strings.Join(remote.LicenseIDs(), ", "))
-	}
-	n, err := serveNode(opts, st, remote)
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	return n, nil
+	st.Close()
+	return nil, err
+}
+
+// persistence is the node's durability wiring: st is both its WAL and its
+// snapshot sink.
+func (opts NodeOptions) persistence(st *store.Store) slremote.PersistConfig {
+	return slremote.PersistConfig{Log: st, Snap: st, SealKey: opts.SealKey, SnapshotEvery: opts.SnapshotEvery}
 }
 
 // serveNode wraps an already-built server in the wire layer and starts
-// serving; StartNode and Follower.Promote share it so a promoted follower
-// is indistinguishable from a freshly started leader. The audit chain is
+// serving; every node start ends here, so a promoted follower is
+// indistinguishable from a freshly started leader. The audit chain is
 // attached before anything can mutate the server, so it covers every
 // decision of the node's lifetime.
 func serveNode(opts NodeOptions, st *store.Store, remote *slremote.Server) (*Node, error) {

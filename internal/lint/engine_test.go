@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -122,5 +123,33 @@ func TestEngineSummariesTransfer(t *testing.T) {
 	}
 	if !relayed {
 		t.Error("no call-site diagnostic for the relay helper")
+	}
+}
+
+// TestSecretFlowWholeModule analyzes internal/seccrypto alongside the
+// secretflowx fixture, as `sllint ./...` does: Key.Bytes then answers from
+// its own summary instead of the conservative unknown-callee rule, so the
+// bytes it copies out of the key must still come back secret.
+func TestSecretFlowWholeModule(t *testing.T) {
+	pkg := fixturePackage(t, "secretflowx")
+	dep, err := loader.LoadDir(filepath.Join("..", "seccrypto"))
+	if err != nil {
+		t.Fatalf("loading seccrypto: %v", err)
+	}
+	runner := &lint.Runner{Analyzers: []lint.Analyzer{lint.NewSecretFlow()}}
+	runner.Package(dep)
+	runner.Package(pkg)
+	want := map[string]bool{"passed to relay": false, "passed to forward": false, "EscrowRequest.Key": false}
+	for _, d := range runner.Finish() {
+		for frag := range want {
+			if strings.Contains(d.Message, frag) {
+				want[frag] = true
+			}
+		}
+	}
+	for frag, hit := range want {
+		if !hit {
+			t.Errorf("whole-module run lost the %q finding", frag)
+		}
 	}
 }

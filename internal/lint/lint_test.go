@@ -129,7 +129,7 @@ func TestAnalyzersGolden(t *testing.T) {
 	}
 }
 
-// TestSuppressions drives the //sllint:ignore machinery: a justified
+// TestSuppressions drives the suppression (//sllint:ignore) machinery: a justified
 // suppression silences the line below it; a reasonless or unknown-check
 // suppression is itself a finding and silences nothing.
 func TestSuppressions(t *testing.T) {

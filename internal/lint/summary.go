@@ -220,40 +220,80 @@ func (lt *localTaint) taint(obj types.Object, tv taintVal) bool {
 
 // propagate runs the assignment fixpoint: any tainted right-hand side
 // taints every assignable left-hand identifier (v1 semantics, lifted to
-// the two-level lattice).
+// the two-level lattice), and copy(dst, src) taints the variable dst's
+// bytes live in — out in `copy(out, k.b[:]); return out` carries the key.
 func (lt *localTaint) propagate() {
 	for changed := true; changed; {
 		changed = false
 		ast.Inspect(lt.fi.Decl.Body, func(n ast.Node) bool {
-			asg, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			var tv taintVal
-			for _, rhs := range asg.Rhs {
-				tv = tv.or(lt.exprTaint(rhs))
-			}
-			if tv.zero() {
-				return true
-			}
-			for _, lhs := range asg.Lhs {
-				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok {
-					continue
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				var tv taintVal
+				for _, rhs := range n.Rhs {
+					tv = tv.or(lt.exprTaint(rhs))
 				}
-				obj := lt.info.Defs[id]
-				if obj == nil {
-					obj = lt.info.Uses[id]
+				for _, lhs := range n.Lhs {
+					if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && lt.taintIdent(id, tv) {
+						changed = true
+					}
 				}
-				if obj == nil || !taintableType(obj.Type()) {
-					continue
-				}
-				if lt.taint(obj, tv) {
-					changed = true
+			case *ast.CallExpr:
+				if lt.isBuiltin(n, "copy") && len(n.Args) == 2 {
+					if id := rootIdent(n.Args[0]); id != nil && lt.taintIdent(id, lt.exprTaint(n.Args[1])) {
+						changed = true
+					}
 				}
 			}
 			return true
 		})
+	}
+}
+
+// taintIdent merges tv into the variable id names, when that variable can
+// carry bytes; it reports whether the variable's taint grew.
+func (lt *localTaint) taintIdent(id *ast.Ident, tv taintVal) bool {
+	if tv.zero() {
+		return false
+	}
+	obj := lt.info.Defs[id]
+	if obj == nil {
+		obj = lt.info.Uses[id]
+	}
+	if obj == nil || !taintableType(obj.Type()) {
+		return false
+	}
+	return lt.taint(obj, tv)
+}
+
+// isBuiltin reports whether call calls the predeclared function name.
+func (lt *localTaint) isBuiltin(call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := lt.info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
+}
+
+// rootIdent strips slicing, indexing, field selection and dereferences
+// down to the variable whose memory e denotes (nil when there is none,
+// e.g. a call result).
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
 	}
 }
 
@@ -290,6 +330,9 @@ func (lt *localTaint) exprTaint(e ast.Expr) taintVal {
 		}
 		if secretName(e.Sel.Name) {
 			tv.intr = true
+		}
+		if x, ok := lt.info.Types[e.X]; ok && isSeccryptoKey(x.Type) {
+			tv.intr = true // a Key's fields are its bytes
 		}
 		if k, ok := lt.fieldKeyOf(e); ok {
 			if lt.e.fieldTaint[k] {

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"repro/internal/seccrypto"
+	"repro/internal/wire"
 )
 
 // relay is a neutral helper: nothing in its body names a secret, but its
@@ -67,4 +68,25 @@ func forward(v string) {
 // LeakTwoHops exercises summary transitivity.
 func LeakTwoHops(key seccrypto.Key) {
 	forward(string(key.Bytes())) // want `secret value passed to forward, which forwards it to log.Printf`
+}
+
+// keyBuffer copies the key into a fresh buffer, the way seccrypto.Key.Bytes
+// does: copy moves the key's taint into buf, so the result summary carries
+// it even though no assignment ever names the key on its right-hand side.
+func keyBuffer(key seccrypto.Key) []byte {
+	buf := make([]byte, seccrypto.KeySize)
+	copy(buf, key.Bytes())
+	return buf
+}
+
+// LeakViaCopy puts the copied key into an unsealed wire field.
+func LeakViaCopy(slid string, key seccrypto.Key) wire.EscrowRequest {
+	return wire.EscrowRequest{SLID: slid, Key: keyBuffer(key)} // want `secret value stored in unsealed wire field EscrowRequest.Key`
+}
+
+// CopyClean copies non-secret bytes through the same shape: clean.
+func CopyClean(slid string) wire.EscrowRequest {
+	buf := make([]byte, len(slid))
+	copy(buf, slid)
+	return wire.EscrowRequest{SLID: slid, Key: buf}
 }

@@ -15,8 +15,8 @@ import (
 // return ... }`).
 //
 // Functions themselves named apply*Locked are exempt: they are the replay
-// fold (applyEventLocked and the helpers it shares with the live paths),
-// and replay must not re-log what it reads from the WAL.
+// fold (applyBatchLocked, applyEventLocked and the helpers they share with
+// the live paths), and replay must not re-log what it reads from the WAL.
 type walOrder struct{}
 
 // NewWALOrder returns the walorder analyzer.

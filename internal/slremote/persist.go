@@ -1,9 +1,11 @@
 package slremote
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"time"
@@ -18,16 +20,17 @@ import (
 // This file is SL-Remote's durability layer. Every state mutation is
 // written through a store.Logger *before* it is applied in memory
 // (write-ahead discipline: a mutation the WAL never saw never happened),
-// and RecoverServer rebuilds an identical Server from the newest snapshot
-// plus the WAL tail. Two rules keep the scheme sound:
+// and RecoverServer rebuilds an identical Server by folding the newest
+// snapshot plus the WAL tail through applyBatchLocked, the fold a
+// replica applies to a leader's stream. Two rules keep the scheme sound:
 //
 //   - events record *outcomes*, not requests: a renewal logs the units
 //     Algorithm 1 granted, an init logs the SLID it assigned, so replay is
 //     a pure fold over deterministic transitions;
 //   - secret material is sealed before it reaches the log: escrowed
 //     lease-tree root keys are AES-GCM-protected with the server's seal
-//     key (seccrypto.ProtectWithKey), and snapshot images — which embed
-//     those keys — are sealed whole. Plaintext key bytes never leave the
+//     key (seccrypto.ProtectWithKey), and the snapshot image (State) — which
+//     embeds those keys — is sealed whole. Plaintext key bytes never leave the
 //     (simulated) enclave.
 
 // WAL event opcodes.
@@ -111,7 +114,12 @@ type persister struct {
 // AttachPersistence starts write-ahead logging of every mutation. Call it
 // on a fresh server before any state exists; to resume from a state
 // directory use RecoverServer, which attaches after replay.
-func (s *Server) AttachPersistence(pc PersistConfig) error {
+func (s *Server) AttachPersistence(pc PersistConfig) error { return s.attach(pc, 0) }
+
+// attach is the one place a Server gains persistence: AttachPersistence,
+// RecoverServer and Replica.Promote all end here. appended counts records
+// already in the log toward the next compaction.
+func (s *Server) attach(pc PersistConfig, appended int) error {
 	if err := pc.validate(); err != nil {
 		return err
 	}
@@ -122,6 +130,7 @@ func (s *Server) AttachPersistence(pc PersistConfig) error {
 		snap:          pc.Snap,
 		sealKey:       pc.SealKey,
 		snapshotEvery: pc.SnapshotEvery,
+		appended:      appended,
 	}
 	return nil
 }
@@ -168,8 +177,7 @@ func (s *Server) SnapshotNow() error {
 }
 
 func (s *Server) snapshotLocked() error {
-	img := s.imageLocked()
-	plain, err := json.Marshal(img)
+	plain, err := json.Marshal(s.exportLocked())
 	if err != nil {
 		return fmt.Errorf("slremote: encoding snapshot: %w", err)
 	}
@@ -187,178 +195,72 @@ func (s *Server) snapshotLocked() error {
 	return nil
 }
 
-// snapshotImage is the on-disk (sealed) full-state encoding.
-type snapshotImage struct {
-	Licenses map[string]licenseImage `json:"licenses"`
-	Clients  map[string]clientImage  `json:"clients"`
-	NextSLID int                     `json:"next_slid"`
-	Stats    ServerStats             `json:"stats"`
-}
-
-type licenseImage struct {
-	Kind       uint8   `json:"kind"`
-	TotalGCL   int64   `json:"total_gcl"`
-	IntervalNS int64   `json:"interval_ns"`
-	Remaining  int64   `json:"remaining"`
-	Tau        float64 `json:"tau"`
-	Revoked    bool    `json:"revoked"`
-	Lost       int64   `json:"lost"`
-	Consumed   int64   `json:"consumed,omitempty"`
-}
-
-type clientImage struct {
-	Health      float64          `json:"health"`
-	Reliability float64          `json:"reliability"`
-	Weight      float64          `json:"weight"`
-	Escrow      []byte           `json:"escrow,omitempty"` // raw key; the whole image is sealed
-	HasEscrow   bool             `json:"has_escrow"`
-	Outstanding map[string]int64 `json:"outstanding,omitempty"`
-	Crashed     bool             `json:"crashed"`
-}
-
-func (s *Server) imageLocked() snapshotImage {
-	img := snapshotImage{
-		Licenses: make(map[string]licenseImage, len(s.licenses)),
-		Clients:  make(map[string]clientImage, len(s.clients)),
-		NextSLID: s.nextSLID,
-		Stats:    s.stats,
-	}
-	for id, lic := range s.licenses {
-		img.Licenses[id] = licenseImage{
-			Kind:       uint8(lic.Kind),
-			TotalGCL:   lic.TotalGCL,
-			IntervalNS: int64(lic.Interval),
-			Remaining:  lic.Remaining,
-			Tau:        lic.Tau,
-			Revoked:    lic.Revoked,
-			Lost:       lic.Lost,
-			Consumed:   lic.Consumed,
-		}
-	}
-	for slid, c := range s.clients {
-		ci := clientImage{
-			Health:      c.health,
-			Reliability: c.reliability,
-			Weight:      c.weight,
-			HasEscrow:   c.hasEscrow,
-			Crashed:     c.crashed,
-		}
-		if c.hasEscrow {
-			ci.Escrow = c.escrow.Bytes()
-		}
-		if len(c.outstanding) > 0 {
-			ci.Outstanding = make(map[string]int64, len(c.outstanding))
-			for k, v := range c.outstanding {
-				ci.Outstanding[k] = v
-			}
-		}
-		img.Clients[slid] = ci
-	}
-	return img
-}
-
-// restoreImageLocked installs a decoded snapshot into an empty server.
-func (s *Server) restoreImageLocked(img snapshotImage) error {
-	for id, li := range img.Licenses {
-		s.licenses[id] = &License{
-			ID:        id,
-			Kind:      lease.Kind(li.Kind),
-			TotalGCL:  li.TotalGCL,
-			Interval:  time.Duration(li.IntervalNS),
-			Remaining: li.Remaining,
-			Tau:       li.Tau,
-			Revoked:   li.Revoked,
-			Lost:      li.Lost,
-			Consumed:  li.Consumed,
-		}
-	}
-	for slid, ci := range img.Clients {
-		c := &clientState{
-			slid:        slid,
-			health:      ci.Health,
-			reliability: ci.Reliability,
-			weight:      ci.Weight,
-			hasEscrow:   ci.HasEscrow,
-			crashed:     ci.Crashed,
-			outstanding: make(map[string]int64, len(ci.Outstanding)),
-		}
-		for k, v := range ci.Outstanding {
-			c.outstanding[k] = v
-			if v > 0 {
-				s.setHolderLocked(k, c)
-			}
-		}
-		if ci.HasEscrow {
-			key, err := seccrypto.KeyFromBytes(ci.Escrow)
-			if err != nil {
-				return fmt.Errorf("slremote: snapshot escrow for %q: %w", slid, err)
-			}
-			c.escrow = key
-		}
-		s.clients[slid] = c
-	}
-	s.nextSLID = img.NextSLID
-	s.stats = img.Stats
-	return nil
-}
-
-// RecoverServer rebuilds an SL-Remote from what store.Open recovered —
-// unseal the snapshot image, fold the WAL tail over it — and attaches
-// persistence so new mutations keep flowing into the same log. With an
-// empty Recovered it is NewServer + AttachPersistence. The Config must
-// match the one the state was written under (it is policy, not state, and
-// lives in flags).
+// RecoverServer rebuilds an SL-Remote from what store.Open recovered and
+// attaches persistence so new mutations keep flowing into the same log.
+// Recovery is replication from the node's own disk: the snapshot and the
+// WAL tail fold into a Replica as one rebasing store.TailBatch, exactly as
+// a follower folds the batches a leader ships. With an empty Recovered it
+// is NewServer + AttachPersistence. The Config must match the one the
+// state was written under (it is policy, not state, and lives in flags).
 func RecoverServer(cfg Config, service *attest.Service, rec *store.Recovered, pc PersistConfig) (*Server, error) {
-	if err := pc.validate(); err != nil {
-		return nil, err
-	}
-	s, err := NewServer(cfg, service)
+	r, err := NewReplica(cfg, service, pc.SealKey)
 	if err != nil {
 		return nil, err
 	}
-	s.persist = &persister{sealKey: pc.SealKey} // replay needs the seal key, but must not re-log
-	if rec != nil {
-		if rec.Snapshot != nil {
-			plain, err := seccrypto.Validate(rec.Snapshot, pc.SealKey)
+	if _, err := r.ApplyBatch(store.TailBatch{
+		Rebase: true, Gen: rec.Generation, Snapshot: rec.Snapshot, Records: rec.Records,
+	}); err != nil {
+		return nil, err
+	}
+	// A long replayed tail counts toward the next compaction.
+	if err := r.s.attach(pc, len(rec.Records)); err != nil {
+		return nil, err
+	}
+	return r.s, nil
+}
+
+// applyBatchLocked is the one fold over the WAL, shared by crash recovery
+// and replication: on a rebase the sealed snapshot image (nil: the empty
+// state) replaces the whole state, then every record applies, oldest
+// first. sealKey unseals the image and the escrow records. It returns the
+// number of records applied.
+func (s *Server) applyBatchLocked(b store.TailBatch, sealKey seccrypto.Key) (int, error) {
+	if b.Rebase {
+		var st State
+		if b.Snapshot != nil {
+			plain, err := seccrypto.Validate(b.Snapshot, sealKey)
 			if err != nil {
-				return nil, fmt.Errorf("slremote: unsealing snapshot (wrong seal key, or tampered image): %w", err)
+				return 0, fmt.Errorf("slremote: unsealing snapshot (wrong seal key, or tampered image): %w", err)
 			}
-			var img snapshotImage
-			if err := json.Unmarshal(plain, &img); err != nil {
-				return nil, fmt.Errorf("slremote: decoding snapshot: %w", err)
-			}
-			if err := s.restoreImageLocked(img); err != nil {
-				return nil, err
-			}
-		}
-		for i, raw := range rec.Records {
-			var ev event
-			if err := json.Unmarshal(raw, &ev); err != nil {
-				return nil, fmt.Errorf("slremote: decoding WAL record %d: %w", i, err)
-			}
-			if err := s.applyEventLocked(ev); err != nil { //sllint:ignore walorder replay folds records already durable in the WAL; logging them again would double-append
-				return nil, fmt.Errorf("slremote: replaying WAL record %d (%s): %w", i, ev.Op, err)
+			// Strict: a key State does not have (an older image format's
+			// snake_case names) fails loudly instead of being dropped.
+			dec := json.NewDecoder(bytes.NewReader(plain))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&st); err != nil {
+				return 0, fmt.Errorf("slremote: decoding snapshot: %w", err)
 			}
 		}
+		if err := s.restoreLocked(st); err != nil {
+			return 0, err
+		}
 	}
-	s.persist = &persister{
-		log:           pc.Log,
-		snap:          pc.Snap,
-		sealKey:       pc.SealKey,
-		snapshotEvery: pc.SnapshotEvery,
+	for i, raw := range b.Records {
+		var ev event
+		if err := json.Unmarshal(raw, &ev); err != nil {
+			return i, fmt.Errorf("slremote: decoding WAL record %d: %w", i, err)
+		}
+		if err := s.applyEventLocked(ev, sealKey); err != nil {
+			return i, fmt.Errorf("slremote: applying WAL record %d (%s): %w", i, ev.Op, err)
+		}
 	}
-	if rec != nil {
-		// A long replayed tail counts toward the next compaction.
-		s.persist.appended = len(rec.Records)
-	}
-	return s, nil
+	return len(b.Records), nil
 }
 
 // applyEventLocked folds one WAL event into the state. Replay tolerates
 // nothing: an event that does not fit the state (unknown license, unknown
 // client) means the log and the snapshot disagree, and recovery must fail
 // loudly rather than rebuild a subtly different server.
-func (s *Server) applyEventLocked(ev event) error {
+func (s *Server) applyEventLocked(ev event, sealKey seccrypto.Key) error {
 	switch ev.Op {
 	case opRegister:
 		if _, dup := s.licenses[ev.License]; dup {
@@ -390,7 +292,7 @@ func (s *Server) applyEventLocked(ev event) error {
 		if !ok {
 			return fmt.Errorf("%w: %q", ErrUnknownClient, ev.SLID)
 		}
-		raw, err := seccrypto.Validate(ev.SealedKey, s.persist.sealKey)
+		raw, err := seccrypto.Validate(ev.SealedKey, sealKey)
 		if err != nil {
 			return fmt.Errorf("unsealing escrowed key: %w", err)
 		}
@@ -432,9 +334,9 @@ func (s *Server) applyEventLocked(ev event) error {
 	return nil
 }
 
-// State is a deep-copied, exported view of the whole server — what the
-// restart-cycle tests compare with reflect.DeepEqual across a kill and a
-// recovery.
+// State is the whole server state, deep-copied: the snapshot image
+// (sealed whole before it reaches disk), and what the restart-cycle tests
+// compare with reflect.DeepEqual across a kill and a recovery.
 type State struct {
 	Licenses map[string]License
 	Clients  map[string]ClientState
@@ -448,8 +350,8 @@ type ClientState struct {
 	Health      float64
 	Reliability float64
 	Weight      float64
-	// Escrow is the escrowed root key's raw bytes (in-memory view; on
-	// disk it only ever exists sealed). Nil when HasEscrow is false.
+	// Escrow is the escrowed root key's raw bytes; on disk it only exists
+	// inside the sealed snapshot image. Nil when HasEscrow is false.
 	Escrow      []byte
 	HasEscrow   bool
 	Outstanding map[string]int64
@@ -460,6 +362,10 @@ type ClientState struct {
 func (s *Server) ExportState() State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.exportLocked()
+}
+
+func (s *Server) exportLocked() State {
 	st := State{
 		Licenses: make(map[string]License, len(s.licenses)),
 		Clients:  make(map[string]ClientState, len(s.clients)),
@@ -477,17 +383,52 @@ func (s *Server) ExportState() State {
 			Weight:      c.weight,
 			HasEscrow:   c.hasEscrow,
 			Crashed:     c.crashed,
-			Outstanding: make(map[string]int64, len(c.outstanding)),
+			Outstanding: maps.Clone(c.outstanding),
 		}
 		if c.hasEscrow {
 			cs.Escrow = c.escrow.Bytes()
 		}
-		for k, v := range c.outstanding {
-			cs.Outstanding[k] = v
-		}
 		st.Clients[slid] = cs
 	}
 	return st
+}
+
+// restoreLocked replaces the whole state with st — the inverse of
+// exportLocked, and the one way a snapshot image becomes a server.
+func (s *Server) restoreLocked(st State) error {
+	s.licenses = make(map[string]*License, len(st.Licenses))
+	s.clients = make(map[string]*clientState, len(st.Clients))
+	s.holders = make(map[string]map[string]*clientState)
+	s.nextSLID, s.stats = st.NextSLID, st.Stats
+	for id, lic := range st.Licenses {
+		s.licenses[id] = &lic
+	}
+	for slid, cs := range st.Clients {
+		c := &clientState{
+			slid:        slid,
+			health:      cs.Health,
+			reliability: cs.Reliability,
+			weight:      cs.Weight,
+			hasEscrow:   cs.HasEscrow,
+			crashed:     cs.Crashed,
+			outstanding: make(map[string]int64, len(cs.Outstanding)),
+		}
+		for k, v := range cs.Outstanding {
+			c.outstanding[k] = v
+			if v > 0 {
+				s.setHolderLocked(k, c)
+			}
+		}
+		if cs.HasEscrow {
+			key, err := seccrypto.KeyFromBytes(cs.Escrow)
+			if err != nil {
+				return fmt.Errorf("slremote: snapshot escrow for %q: %w", slid, err)
+			}
+			c.escrow = key
+		}
+		s.clients[slid] = c
+	}
+	return nil
 }
 
 // LicenseIDs returns the registered license IDs, sorted — the boot path

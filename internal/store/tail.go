@@ -9,29 +9,32 @@ import (
 // TailBatch is one chunk of a generation-aware WAL follow: the records a
 // replica has not applied yet, plus — when the replica's position is from
 // a generation that has since been compacted away — the snapshot image it
-// must rebase onto first.
+// must rebase onto first. It is also the repl_batch wire payload: Snapshot
+// and the escrow-bearing records inside Records are sealed by the leader
+// before they ever reach its WAL, so the stream carries no plaintext key
+// material regardless of the channel.
 type TailBatch struct {
 	// Gen is the generation Records belong to. When it differs from the
 	// position the caller asked about, Rebase is set.
-	Gen uint64
+	Gen uint64 `json:"gen"`
 	// Rebase reports that the caller's generation is gone (a snapshot
 	// superseded it). Snapshot then holds generation Gen's full state
 	// image (nil only when Gen is 0, whose base state is empty), and
 	// Records restart from the head of Gen's WAL.
-	Rebase bool
+	Rebase bool `json:"rebase,omitempty"`
 	// Snapshot is the (caller-sealed) state image that bases Gen. Only
 	// set alongside Rebase.
-	Snapshot []byte
+	Snapshot []byte `json:"snapshot,omitempty"`
 	// Records are decoded WAL records starting at the requested offset
 	// (or the head of the WAL on a rebase), oldest first. Empty when the
 	// caller is caught up.
-	Records [][]byte
+	Records [][]byte `json:"records,omitempty"`
 	// NextOffset is the byte offset in Gen's WAL just past the last
 	// returned record — the position to ask for next.
-	NextOffset int64
+	NextOffset int64 `json:"next_offset"`
 	// Tip is the durable extent of Gen's WAL at serve time; Tip−NextOffset
 	// is the follower's replication lag in bytes.
-	Tip int64
+	Tip int64 `json:"tip"`
 }
 
 // Caught reports whether the batch carries nothing new: the follower is at

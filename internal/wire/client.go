@@ -19,6 +19,7 @@ import (
 	"repro/internal/sgx"
 	"repro/internal/sllocal"
 	"repro/internal/slremote"
+	"repro/internal/store"
 )
 
 // DefaultTimeout bounds the connect and each request/reply round trip for
@@ -600,8 +601,8 @@ func (c *Client) LicenseInfo(id string) (LicenseInfoResponse, error) {
 // ReplPull fetches one replication batch: the server's durable WAL
 // records after position (gen, offset). Followers call it in a loop,
 // advancing their position by the returned NextOffset.
-func (c *Client) ReplPull(gen uint64, offset int64, maxBytes int) (ReplBatchResponse, error) {
-	var resp ReplBatchResponse
+func (c *Client) ReplPull(gen uint64, offset int64, maxBytes int) (store.TailBatch, error) {
+	var resp store.TailBatch
 	err := c.call(nil, TypeReplPull, ReplPullRequest{Gen: gen, Offset: offset, MaxBytes: maxBytes}, &resp)
 	return resp, err
 }

@@ -231,22 +231,14 @@ func TestReplPullStreamsWALOverWire(t *testing.T) {
 	var gen uint64
 	var off int64
 	for {
-		resp, err := client.ReplPull(gen, off, 0)
+		batch, err := client.ReplPull(gen, off, 0)
 		if err != nil {
 			t.Fatalf("ReplPull: %v", err)
-		}
-		batch := store.TailBatch{
-			Gen:        resp.Gen,
-			Rebase:     resp.Rebase,
-			Snapshot:   resp.Snapshot,
-			Records:    resp.Records,
-			NextOffset: resp.NextOffset,
-			Tip:        resp.Tip,
 		}
 		if _, err := replica.ApplyBatch(batch); err != nil {
 			t.Fatalf("ApplyBatch: %v", err)
 		}
-		gen, off = resp.Gen, resp.NextOffset
+		gen, off = batch.Gen, batch.NextOffset
 		if batch.Caught() {
 			break
 		}

@@ -585,14 +585,7 @@ func (s *Server) dispatch(conn net.Conn, fw *frameWriter, env Envelope, typ rpcT
 		if err != nil {
 			return fail(err)
 		}
-		return reply(TypeReplBatch, ReplBatchResponse{
-			Gen:        b.Gen,
-			Rebase:     b.Rebase,
-			Snapshot:   b.Snapshot,
-			Records:    b.Records,
-			NextOffset: b.NextOffset,
-			Tip:        b.Tip,
-		})
+		return reply(TypeReplBatch, b)
 
 	case TypeObsPull:
 		if s.obsSource == nil {

@@ -183,19 +183,6 @@ type ReplPullRequest struct {
 	MaxBytes int    `json:"max_bytes,omitempty"`
 }
 
-// ReplBatchResponse mirrors store.TailBatch across the wire. Snapshot and
-// the escrow-bearing records inside Records are sealed by the leader
-// before they ever reach its WAL, so the stream carries no plaintext key
-// material regardless of the channel.
-type ReplBatchResponse struct {
-	Gen        uint64   `json:"gen"`
-	Rebase     bool     `json:"rebase,omitempty"`
-	Snapshot   []byte   `json:"snapshot,omitempty"`
-	Records    [][]byte `json:"records,omitempty"`
-	NextOffset int64    `json:"next_offset"`
-	Tip        int64    `json:"tip"`
-}
-
 // ObsPullRequest asks for a server's observability state. Trace, when
 // non-empty, filters the trace dump to one hex TraceID.
 type ObsPullRequest struct {
