@@ -28,16 +28,12 @@ func main() {
 
 func run() error {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1|table5|table6|figure7|figure8|figure9|ablation|fleet|scalable|cluster|all (cluster only runs when named explicitly)")
+		exp      = flag.String("exp", "all", "experiment: table1|table5|table6|figure7|figure8|figure9|ablation|fleet|scalable|all")
 		scale    = flag.Int("scale", 1, "workload input scale factor")
 		seed     = flag.Int64("seed", 7, "clustering seed")
 		window   = flag.Duration("window", 500*time.Millisecond, "figure 8 measurement window")
 		workload = flag.String("workload", "openssl", "figure 7 workload")
 		repeats  = flag.Int("repeats", 5, "table 1 timing repeats")
-		clients  = flag.Int("clients", 1_000_000, "cluster experiment: simulated clients")
-		shards   = flag.Int("shards", 4, "cluster experiment: shard count")
-		kills    = flag.Int("kills", 0, "cluster experiment: leader kills injected mid-run (chaos-swarm variant)")
-		obsDump  = flag.String("obs-dump", "", "cluster experiment: observe every node, render the merged failover timeline, and write the fleet artifacts (metrics.prom, metrics.json, flight.json) into this directory")
 	)
 	flag.Parse()
 
@@ -174,28 +170,6 @@ func run() error {
 		return nil
 	}); err != nil {
 		return err
-	}
-
-	// The cluster experiment simulates a million clients by default and
-	// runs for minutes, so -exp all skips it; ask for it by name.
-	if *exp == "cluster" {
-		if err := run("cluster", func() error {
-			res, err := harness.ClusterBench(harness.ClusterBenchOptions{
-				Clients: *clients,
-				Shards:  *shards,
-				Kills:   *kills,
-				Seed:    *seed,
-				Observe: *obsDump != "",
-				ObsDump: *obsDump,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-			return nil
-		}); err != nil {
-			return err
-		}
 	}
 
 	return nil

@@ -28,8 +28,6 @@ type Options struct {
 	Dir string
 	// SealKey seals snapshots, escrow, and audit chains cluster-wide.
 	SealKey seccrypto.Key
-	// Config is the Algorithm 1 parameter set (zero value: defaults).
-	Config slremote.Config
 	// Service gates client attestation (nil: open).
 	Service *attest.Service
 	// NewChannel mints a wire channel config per endpoint (each node and
@@ -39,8 +37,6 @@ type Options struct {
 	NewChannel func(role string) (*ratls.Config, error)
 	// SyncMode is every store's WAL durability mode.
 	SyncMode store.SyncMode
-	// SnapshotEvery compacts each leader's WAL after this many records.
-	SnapshotEvery int
 	// PullInterval paces follower pulls (0: DefaultPullInterval).
 	PullInterval time.Duration
 	// Audit attaches a tamper-evident audit chain per shard.
@@ -55,10 +51,6 @@ type Options struct {
 	// ObsTargets: the aggregator's scrape errors and staleness metrics
 	// are part of the failover story, not noise.
 	Observe bool
-	// TraceBuffer sizes each observed node's span ring (0: obs default).
-	TraceBuffer int
-	// Logf receives server logs (nil: silent).
-	Logf func(string, ...any)
 }
 
 // shardState is one shard's moving parts: the serving leader, its warm
@@ -98,9 +90,6 @@ func New(opts Options) (*Cluster, error) {
 	}
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("cluster: a state directory is required")
-	}
-	if opts.Config == (slremote.Config{}) {
-		opts.Config = slremote.DefaultConfig()
 	}
 	if opts.NewChannel == nil {
 		opts.NewChannel = func(string) (*ratls.Config, error) { return ratls.Insecure(), nil }
@@ -153,7 +142,7 @@ func (c *Cluster) newNodeObs(name string) (*NodeObs, error) {
 	if !c.opts.Observe {
 		return nil, nil
 	}
-	o := NewNodeObs(name, c.opts.TraceBuffer)
+	o := NewNodeObs(name, 0)
 	if err := o.Serve("127.0.0.1:0", obs.HandlerOptions{}); err != nil {
 		return nil, fmt.Errorf("cluster: obs endpoint for %s: %w", name, err)
 	}
@@ -203,17 +192,15 @@ func (c *Cluster) nextLeader(s *shardState, shard int) (NodeOptions, error) {
 		return NodeOptions{}, err
 	}
 	return NodeOptions{
-		Shard:         shard,
-		Dir:           dir,
-		SealKey:       c.opts.SealKey,
-		Config:        c.opts.Config,
-		Service:       c.opts.Service,
-		Channel:       ch,
-		Directory:     c.dir,
-		Audit:         s.audit,
-		SyncMode:      c.opts.SyncMode,
-		SnapshotEvery: c.opts.SnapshotEvery,
-		Logf:          c.opts.Logf,
+		Shard:     shard,
+		Dir:       dir,
+		SealKey:   c.opts.SealKey,
+		Config:    slremote.DefaultConfig(),
+		Service:   c.opts.Service,
+		Channel:   ch,
+		Directory: c.dir,
+		Audit:     s.audit,
+		SyncMode:  c.opts.SyncMode,
 	}, nil
 }
 
@@ -231,7 +218,7 @@ func (c *Cluster) startFollower(s *shardState, shard int, leaderAddr string) (*F
 		Shard:        shard,
 		LeaderAddr:   leaderAddr,
 		SealKey:      c.opts.SealKey,
-		Config:       c.opts.Config,
+		Config:       slremote.DefaultConfig(),
 		Service:      c.opts.Service,
 		Channel:      ch,
 		PullInterval: c.opts.PullInterval,

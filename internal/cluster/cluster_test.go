@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/ratls"
 	"repro/internal/seccrypto"
 	"repro/internal/sgx"
+	"repro/internal/slremote"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -280,6 +283,157 @@ func TestClusterFailover(t *testing.T) {
 	}
 	if err := c.CheckConservation(); err != nil {
 		t.Fatalf("conservation after second failover: %v", err)
+	}
+}
+
+// ledgerDiff names where two server states differ, or returns "" when
+// they agree. Stats are left out: denial counters are per-process
+// observability, not WAL-logged ledger state.
+func ledgerDiff(got, want slremote.State) string {
+	got.Stats, want.Stats = slremote.ServerStats{}, slremote.ServerStats{}
+	if reflect.DeepEqual(got, want) {
+		return ""
+	}
+	for id, lic := range want.Licenses {
+		if !reflect.DeepEqual(got.Licenses[id], lic) {
+			return fmt.Sprintf("license %s: got %+v, want %+v", id, got.Licenses[id], lic)
+		}
+	}
+	for slid, cs := range want.Clients {
+		if !reflect.DeepEqual(got.Clients[slid], cs) {
+			return fmt.Sprintf("client %s: got %+v, want %+v", slid, got.Clients[slid], cs)
+		}
+	}
+	return fmt.Sprintf("got %+v, want %+v", got, want)
+}
+
+// TestClusterFailoverUnderSeededLoad fails every shard over in the middle
+// of a seeded lock-step renew/consume load. Each promoted leader must hold
+// exactly the state its dead predecessor served, and at the end the
+// cluster must conserve lease units, verify its audit chains, agree with
+// the load's own ledger of grants minus consumes, and have followers
+// equal to their leaders. Conservation alone cannot see a replica that
+// drops consume records: its state stays self-consistent. The state
+// comparisons and the ledger can.
+func TestClusterFailoverUnderSeededLoad(t *testing.T) {
+	const (
+		shards   = 2
+		licenses = 24
+		slids    = 240
+		steps    = 1200
+		budget   = 60
+	)
+	type counts struct{ grants, denials, consumes [shards]int }
+	run := func(seed int64) counts {
+		c := startTestCluster(t, shards, true)
+		lics := make([]string, licenses)
+		for l := range lics {
+			lics[l] = fmt.Sprintf("lic-%02d", l)
+			if err := c.RegisterLicense(lics[l], lease.CountBased, budget); err != nil {
+				t.Fatal(err)
+			}
+		}
+		type client struct {
+			slid string
+			lic  int
+			held int64 // units granted minus units reported consumed
+		}
+		clients := make([]client, slids)
+		for i := range clients {
+			l := i % licenses
+			init, err := c.LeaderFor(lics[l]).Remote().InitClient("", attest.Quote{}, nil)
+			if err != nil {
+				t.Fatalf("InitClient %d: %v", i, err)
+			}
+			clients[i] = client{slid: init.SLID, lic: l}
+		}
+
+		var n counts
+		ledger := make(map[string]int64, licenses)            // grants − consumes per license
+		killAt := map[int]int{steps / 3: 0, 2 * steps / 3: 1} // step → shard failed over after it
+		rng := rand.New(rand.NewSource(seed))
+		for step := 1; step <= steps; step++ {
+			cl := &clients[rng.Intn(slids)]
+			lic := lics[cl.lic]
+			shard := c.Route(lic)
+			remote := c.Leader(shard).Remote()
+			grant, err := remote.RenewLease(cl.slid, lic)
+			switch {
+			case errors.Is(err, slremote.ErrLicenseExhausted):
+				n.denials[shard]++
+			case err != nil:
+				t.Fatalf("step %d: RenewLease: %v", step, err)
+			default:
+				n.grants[shard]++
+				cl.held += grant.Units
+				ledger[lic] += grant.Units
+			}
+			if cl.held > 1 && rng.Intn(2) == 0 {
+				units := cl.held / 2
+				if err := remote.ConsumeReport(cl.slid, lic, units); err != nil {
+					t.Fatalf("step %d: ConsumeReport: %v", step, err)
+				}
+				n.consumes[shard]++
+				cl.held -= units
+				ledger[lic] -= units
+			}
+
+			if k, ok := killAt[step]; ok {
+				if n.consumes[k] == 0 {
+					t.Fatalf("shard %d reached its kill with no consume report", k)
+				}
+				want := c.Leader(k).Remote().ExportState()
+				if err := c.FailOver(k); err != nil {
+					t.Fatalf("FailOver(%d): %v", k, err)
+				}
+				if d := ledgerDiff(c.Leader(k).Remote().ExportState(), want); d != "" {
+					t.Fatalf("shard %d: promoted leader diverged from the dead one: %s", k, d)
+				}
+			}
+		}
+
+		if err := c.CheckConservation(); err != nil {
+			t.Fatalf("conservation: %v", err)
+		}
+		if err := c.VerifyAudit(); err != nil {
+			t.Fatalf("audit chain: %v", err)
+		}
+		outstanding := make(map[string]int64, licenses)
+		for shard := 0; shard < shards; shard++ {
+			if _, epoch := c.Directory().Leader(shard); epoch != 2 {
+				t.Fatalf("shard %d at epoch %d, want 2 (one failover)", shard, epoch)
+			}
+			want := c.Leader(shard).Remote().ExportState()
+			f := c.Follower(shard)
+			if err := f.Drain(); err != nil {
+				t.Fatalf("shard %d drain: %v", shard, err)
+			}
+			if d := ledgerDiff(f.State(), want); d != "" {
+				t.Fatalf("shard %d: drained follower diverged from its leader: %s", shard, d)
+			}
+			for _, cs := range want.Clients {
+				for lic, units := range cs.Outstanding {
+					outstanding[lic] += units
+				}
+			}
+		}
+		for _, lic := range lics {
+			if outstanding[lic] != ledger[lic] {
+				t.Fatalf("%s: Σ outstanding = %d, ledger of grants − consumes = %d", lic, outstanding[lic], ledger[lic])
+			}
+		}
+		return n
+	}
+
+	a, b := run(29), run(29)
+	t.Logf("per shard: grants %v, denials %v, consumes %v", a.grants, a.denials, a.consumes)
+	if a != b {
+		t.Fatalf("same seed, different per-shard counts:\n %+v\n %+v", a, b)
+	}
+	for shard := 0; shard < shards; shard++ {
+		if a.grants[shard] == 0 || a.denials[shard] == 0 {
+			t.Fatalf("shard %d saw %d grants and %d denials; the load must exercise both", shard, a.grants[shard], a.denials[shard])
+		}
 	}
 }
 

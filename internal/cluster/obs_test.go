@@ -25,7 +25,6 @@ func startObservedCluster(t *testing.T, shards int) *Cluster {
 		SyncMode:     store.SyncAlways,
 		PullInterval: time.Millisecond,
 		Observe:      true,
-		TraceBuffer:  256,
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)

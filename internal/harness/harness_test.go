@@ -7,7 +7,7 @@ import (
 )
 
 func TestTable1ShapeAndRender(t *testing.T) {
-	res, err := Table1(3)
+	res, err := Table1(10)
 	if err != nil {
 		t.Fatalf("Table1: %v", err)
 	}

@@ -218,3 +218,36 @@ func BenchmarkLeaseTreeValidateParallel(b *testing.B) {
 		}
 	})
 }
+
+// TestResidentValidateAllocatesOnce pins the cost of the token check
+// BenchmarkLeaseTreeValidateParallel times: on a resident tree one
+// Find-then-Update pair allocates exactly once, for the copy-on-write
+// snapshot Update publishes. Anything more means the read-locked path
+// grew a copy of its own.
+func TestResidentValidateAllocatesOnce(t *testing.T) {
+	const n = 4096
+	tr := NewTree()
+	for i := 0; i < n; i++ {
+		if err := tr.Put(mkRecord(lease.ID(i+1), 1<<40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decrement := func(r *lease.Record) error {
+		r.GCL.Counter--
+		return nil
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		id := lease.ID(next%n + 1)
+		next += 97
+		if _, err := tr.Find(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Update(id, decrement); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("resident Find+Update allocates %.2f times, want exactly 1", allocs)
+	}
+}

@@ -30,7 +30,7 @@ type endpoint struct {
 // newEndpoint builds an endpoint whose verifier is the shared service
 // svc; the endpoint's own platform and measurement are registered with
 // it, so two endpoints sharing one service mutually trust each other.
-func newEndpoint(t *testing.T, name, code string, svc *attest.Service) *endpoint {
+func newEndpoint(t testing.TB, name, code string, svc *attest.Service) *endpoint {
 	t.Helper()
 	m, err := sgx.NewMachine(sgx.MachineConfig{Name: name, EPCBytes: 1 << 20})
 	if err != nil {

@@ -44,7 +44,7 @@ func WriteMessage(w io.Writer, msgType string, id uint64, payload any, tc *Trace
 	bp := framePool.Get().(*[]byte)
 	buf := (*bp)[:0]
 	buf = append(buf, 0, 0, 0, 0) // header placeholder, patched below
-	buf = appendEnvelopePrefix(buf, msgType, id, tc)
+	buf = appendMessageHead(buf, msgType, id, tc)
 	if payload != nil {
 		buf = append(buf, `,"payload":`...)
 		var ok bool
@@ -81,21 +81,9 @@ func putFrameBuf(bp *[]byte, buf []byte) {
 	framePool.Put(bp)
 }
 
-// appendEnvelope appends the JSON encoding of env, byte-compatible with
-// json.Marshal(env) for any envelope whose Payload is compact JSON (as
-// every payload this package produces is).
-func appendEnvelope(dst []byte, env *Envelope) []byte {
-	dst = appendEnvelopePrefix(dst, env.Type, env.ID, env.Trace)
-	if len(env.Payload) != 0 {
-		dst = append(dst, `,"payload":`...)
-		dst = append(dst, env.Payload...)
-	}
-	return append(dst, '}')
-}
-
-// appendEnvelopePrefix appends the envelope object up to (not including)
+// appendMessageHead appends the envelope object up to (not including)
 // the payload field and closing brace: {"type":...,"id":...,"trace":{...}
-func appendEnvelopePrefix(dst []byte, msgType string, id uint64, tc *TraceContext) []byte {
+func appendMessageHead(dst []byte, msgType string, id uint64, tc *TraceContext) []byte {
 	dst = append(dst, `{"type":`...)
 	dst = appendJSONString(dst, msgType)
 	if id != 0 {

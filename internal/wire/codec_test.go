@@ -27,8 +27,8 @@ func legacyEncode(t *testing.T, env *Envelope) []byte {
 }
 
 // FuzzEnvelope pins the zero-allocation codec to encoding/json: for every
-// reachable envelope shape the hand-rolled encoder must produce the exact
-// bytes json.Marshal produces (field order, omitempty, string escaping
+// reachable envelope shape WriteMessage must frame the exact bytes
+// json.Marshal produces (field order, omitempty, string escaping
 // including HTML escapes, invalid UTF-8 replacement, and U+2028/U+2029),
 // so frames written by either encoder decode identically on either side.
 func FuzzEnvelope(f *testing.F) {
@@ -61,18 +61,10 @@ func FuzzEnvelope(f *testing.F) {
 			}
 		}
 
-		want, err := json.Marshal(&env)
-		if err != nil {
-			t.Fatalf("json.Marshal(envelope): %v", err)
-		}
-		if got := appendEnvelope(nil, &env); !bytes.Equal(got, want) {
-			t.Fatalf("codec diverges from encoding/json:\n got %q\nwant %q", got, want)
-		}
-		if len(want) > MaxMessageSize {
+		legacy := legacyEncode(t, &env)
+		if len(legacy)-4 > MaxMessageSize {
 			return // both encoders refuse oversize frames
 		}
-
-		legacy := legacyEncode(t, &env)
 		var p any
 		if len(env.Payload) != 0 {
 			p = env.Payload

@@ -46,6 +46,23 @@ func TestWireMetricsEndToEnd(t *testing.T) {
 		t.Fatalf("LicenseInfo: %v", err)
 	}
 
+	// The server records an RPC's metrics and ends its span just after
+	// writing the reply, so the client can read a reply before either
+	// lands. Wait for the three spans before reading the metrics.
+	names := make(map[string]int)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		clear(names)
+		for _, ev := range tr.Events() {
+			names[ev.Name]++
+		}
+		if names["rpc."+TypeRegisterLicense] == 2 && names["rpc."+TypeLicenseInfo] == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("trace spans = %v", names)
+		}
+	}
+
 	snap := reg.Snapshot()
 	reglbl := map[string]string{"type": TypeRegisterLicense}
 	infolbl := map[string]string{"type": TypeLicenseInfo}
@@ -75,14 +92,6 @@ func TestWireMetricsEndToEnd(t *testing.T) {
 		if got := snap.Get(name, nil); got <= 0 {
 			t.Errorf("%s = %v, want > 0", name, got)
 		}
-	}
-
-	names := make(map[string]int)
-	for _, ev := range tr.Events() {
-		names[ev.Name]++
-	}
-	if names["rpc."+TypeRegisterLicense] != 2 || names["rpc."+TypeLicenseInfo] != 1 {
-		t.Errorf("trace spans = %v", names)
 	}
 }
 
