@@ -14,13 +14,11 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -28,6 +26,7 @@ import (
 	"repro/internal/attest"
 	"repro/internal/cli"
 	"repro/internal/obs"
+	"repro/internal/obs/fleet"
 	"repro/internal/obs/flight"
 	"repro/internal/ratls"
 	"repro/internal/sgx"
@@ -36,59 +35,37 @@ import (
 	"repro/internal/wire"
 )
 
-// channelConfig builds the daemon's wire-channel config: RA-TLS by
-// default (presenting the SL-Local code identity, pinning SL-Remote's),
-// plaintext only behind the explicit -insecure flag.
-func channelConfig(insecure bool, secret, secretFile, name string, m *sgx.Machine) (*ratls.Config, error) {
-	if insecure {
-		return ratls.Insecure(), nil
-	}
-	raw, err := loadChannelSecret(secret, secretFile)
-	if err != nil {
-		return nil, err
-	}
-	return ratls.NewProvisioned(name, m, raw, sllocal.EnclaveCodeIdentity, slremote.EnclaveCodeIdentity)
-}
-
-// loadChannelSecret resolves the -ratls-secret[-file] flags; the attested
-// default refuses to start without one.
-func loadChannelSecret(secret, file string) ([]byte, error) {
-	if file != "" {
-		raw, err := os.ReadFile(file)
-		if err != nil {
-			return nil, fmt.Errorf("reading -ratls-secret-file: %w", err)
-		}
-		secret = strings.TrimSpace(string(raw))
-	}
-	if secret == "" {
-		return nil, errors.New("the wire channel is attested by default: provide -ratls-secret or -ratls-secret-file (shared with the peer daemon), or opt out explicitly with -insecure")
-	}
-	return []byte(secret), nil
-}
-
 func main() {
-	if err := run(); err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	if err := run(flag.CommandLine, os.Args[1:], stop); err != nil {
 		cli.Fatalf("sl-local: %v", err)
 	}
 }
 
-func run() error {
+// run is the client daemon's whole life: parse flags, attest and
+// initialize, serve -checks license checks, and shut down gracefully
+// (lease tree committed, root key escrowed) — also when stop fires
+// mid-workload: an interrupted client is a graceful shutdown, not a crash.
+func run(fs *flag.FlagSet, args []string, stop <-chan os.Signal) error {
 	var (
-		remoteAddr  = flag.String("remote", "127.0.0.1:7600", "SL-Remote address")
-		license     = flag.String("license", "demo", "license ID to check against")
-		checks      = flag.Int("checks", 1000, "number of license checks to perform")
-		batch       = flag.Int("batch", 10, "tokens granted per local attestation")
-		name        = flag.String("name", "client", "machine name")
-		metricsAddr = flag.String("metrics-addr", "", "observability endpoint address (/metrics, /healthz, /readyz, /trace, /events); empty disables")
-		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the observability endpoint")
-		traceBuffer = flag.Int("trace-buffer", 4096, "span ring-buffer capacity; /trace marks the dump truncated once the ring wraps")
-		linger      = flag.Duration("linger", 0, "keep running (and serving metrics) this long after the workload finishes")
+		remoteAddr  = fs.String("remote", "127.0.0.1:7600", "SL-Remote address")
+		license     = fs.String("license", "demo", "license ID to check against")
+		checks      = fs.Int("checks", 1000, "number of license checks to perform")
+		batch       = fs.Int("batch", 10, "tokens granted per local attestation")
+		name        = fs.String("name", "client", "machine name")
+		metricsAddr = fs.String("metrics-addr", "", "observability endpoint address (/metrics, /healthz, /readyz, /trace, /events); empty disables")
+		pprofOn     = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the observability endpoint")
+		traceBuffer = fs.Int("trace-buffer", 4096, "span ring-buffer capacity; /trace marks the dump truncated once the ring wraps")
+		linger      = fs.Duration("linger", 0, "keep running (and serving metrics) this long after the workload finishes")
 
-		insecure        = flag.Bool("insecure", false, "speak explicit plaintext on the wire channel instead of the attested (RA-TLS) default; both daemons must agree")
-		ratlsSecret     = flag.String("ratls-secret", "", "shared provisioning secret for the attested channel (both daemons must use the same secret)")
-		ratlsSecretFile = flag.String("ratls-secret-file", "", "read the channel provisioning secret from this file instead of the command line")
+		insecure        = fs.Bool("insecure", false, "speak explicit plaintext on the wire channel instead of the attested (RA-TLS) default; both daemons must agree")
+		ratlsSecret     = fs.String("ratls-secret", "", "shared provisioning secret for the attested channel (both daemons must use the same secret)")
+		ratlsSecretFile = fs.String("ratls-secret-file", "", "read the channel provisioning secret from this file instead of the command line")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	machine, err := sgx.NewMachine(sgx.MachineConfig{Name: *name})
 	if err != nil {
@@ -98,7 +75,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rc, err := channelConfig(*insecure, *ratlsSecret, *ratlsSecretFile, *name, machine)
+	rc, err := ratls.FromFlags(*insecure, *ratlsSecret, *ratlsSecretFile, *name, machine,
+		sllocal.EnclaveCodeIdentity, slremote.EnclaveCodeIdentity)
 	if err != nil {
 		return err
 	}
@@ -117,35 +95,24 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// The flight recorder is always on (SIGQUIT dumps it to stderr); the
-	// metric registry and span ring feed the HTTP endpoint when enabled.
-	rec := flight.NewRecorder(flight.DefaultCapacity)
-	rc.SetFlightRecorder(rec)
-	quit := make(chan os.Signal, 1)
-	signal.Notify(quit, syscall.SIGQUIT)
-	defer signal.Stop(quit)
-	go func() {
-		for range quit {
-			rec.DumpText(os.Stderr)
-		}
-	}()
+	// Instrumentation is always on, in the same bundle sl-remote carries:
+	// SIGQUIT dumps its flight recorder to stderr, and -metrics-addr serves
+	// its registry, span ring and recorder.
+	nodeObs := fleet.NewNodeObs("sl-local", *traceBuffer)
+	defer nodeObs.DumpOnSIGQUIT()()
+	machine.ExposeMetrics(nodeObs.Registry)
+	svc.ExposeMetrics(nodeObs.Registry, nodeObs.Tracer)
+	client.ExposeMetrics(nodeObs.Registry, nodeObs.Tracer)
+	rc.ExposeMetrics(nodeObs.Registry, nodeObs.Tracer)
+	rc.SetFlightRecorder(nodeObs.Flight)
 	// /readyz stays 503 until attestation and Init succeed below.
 	var ready atomic.Bool
 	if *metricsAddr != "" {
-		reg, tracer := obs.Default(), obs.NewTracer(*traceBuffer)
-		machine.ExposeMetrics(reg)
-		svc.ExposeMetrics(reg, tracer)
-		client.ExposeMetrics(reg, tracer)
-		rc.ExposeMetrics(reg, tracer)
-		tracer.ExposeMetrics(reg)
-		rec.ExposeMetrics(reg)
-		ep, err := obs.StartHTTPOpts(*metricsAddr, reg, tracer,
-			obs.HandlerOptions{Ready: ready.Load, PProf: *pprofOn, Events: rec.HTTPHandler()})
-		if err != nil {
+		if err := nodeObs.Serve(*metricsAddr, obs.HandlerOptions{Ready: ready.Load, PProf: *pprofOn}); err != nil {
 			return err
 		}
-		defer ep.Close()
-		fmt.Printf("sl-local: observability endpoint on http://%s/metrics\n", ep.Addr())
+		defer nodeObs.Close()
+		fmt.Printf("sl-local: observability endpoint on %s/metrics\n", nodeObs.URL())
 	}
 	start := time.Now()
 	if err := svc.Init(); err != nil {
@@ -160,20 +127,15 @@ func run() error {
 		return err
 	}
 
-	// SIGINT/SIGTERM stop the workload early; the shutdown path below
-	// still runs, so the lease tree is committed and the root key escrowed
-	// — an interrupted client is a graceful shutdown, not a crash.
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sigs)
-
+	// A stop signal ends the workload early; the shutdown path below
+	// still runs, so the lease tree is committed and the root key escrowed.
 	issued := 0
 	vStart := machine.Clock().Now()
 	rasBefore := machine.Stats().RemoteAttests
 workload:
 	for issued < *checks {
 		select {
-		case sig := <-sigs:
+		case sig := <-stop:
 			fmt.Printf("sl-local: %v after %d checks: shutting down gracefully\n", sig, issued)
 			break workload
 		default:
@@ -196,7 +158,7 @@ workload:
 		vElapsed.Round(time.Millisecond),
 		float64(vElapsed.Microseconds()-loopRAs*3_500_000)/float64(issued))
 
-	rec.Emit("sllocal.shutdown",
+	nodeObs.Flight.Emit("sllocal.shutdown",
 		flight.KV{K: "slid", V: svc.SLID()},
 		flight.KV{K: "checks", V: strconv.Itoa(issued)})
 	if err := svc.Shutdown(); err != nil {
@@ -207,7 +169,7 @@ workload:
 		fmt.Printf("sl-local: lingering %v for metric scrapes\n", *linger)
 		select {
 		case <-time.After(*linger):
-		case sig := <-sigs:
+		case sig := <-stop:
 			fmt.Printf("sl-local: %v: linger cut short\n", sig)
 		}
 	}

@@ -82,10 +82,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/lease"
 	"repro/internal/obs"
+	"repro/internal/obs/fleet"
 	"repro/internal/obs/flight"
 	"repro/internal/ratls"
 	"repro/internal/seccrypto"
-	"repro/internal/sgx"
 	"repro/internal/sllocal"
 	"repro/internal/slremote"
 	"repro/internal/store"
@@ -198,19 +198,9 @@ func run(fs *flag.FlagSet, args []string, stop <-chan os.Signal, serving func(*c
 	// and the wire obs_pull RPC regardless, before and after a standby
 	// promotes. The flight recorder is the always-on black box: SIGQUIT
 	// dumps it to stderr, and every exit persists it next to the WAL.
-	nodeObs := cluster.NewNodeObs("sl-remote", *traceBuffer)
+	nodeObs := fleet.NewNodeObs("sl-remote", *traceBuffer)
 	defer nodeObs.Close()
-	quit := make(chan os.Signal, 1)
-	signal.Notify(quit, syscall.SIGQUIT)
-	go func() {
-		for range quit {
-			nodeObs.Flight.DumpText(os.Stderr)
-		}
-	}()
-	defer func() {
-		signal.Stop(quit)
-		close(quit)
-	}()
+	defer nodeObs.DumpOnSIGQUIT()()
 
 	// The seal key protects both the durable state and the audit log.
 	var sealKey seccrypto.Key
@@ -260,7 +250,7 @@ func run(fs *flag.FlagSet, args []string, stop <-chan os.Signal, serving func(*c
 	if clusterDir != nil {
 		trusted = append(trusted, slremote.EnclaveCodeIdentity)
 	}
-	rc, err := channelConfig("sl-remote", *insecure, *ratlsSecret, *ratlsSecretFile, trusted...)
+	rc, err := ratls.FromFlags(*insecure, *ratlsSecret, *ratlsSecretFile, "sl-remote", nil, slremote.EnclaveCodeIdentity, trusted...)
 	if err != nil {
 		return err
 	}
@@ -303,7 +293,8 @@ func run(fs *flag.FlagSet, args []string, stop <-chan os.Signal, serving func(*c
 	if *follow != "" {
 		// The follower presents the SL-Remote code identity (it is one)
 		// and pins the leader's.
-		replRC, err := channelConfig("sl-remote-follower", *insecure, *ratlsSecret, *ratlsSecretFile, slremote.EnclaveCodeIdentity)
+		replRC, err := ratls.FromFlags(*insecure, *ratlsSecret, *ratlsSecretFile, "sl-remote-follower", nil,
+			slremote.EnclaveCodeIdentity, slremote.EnclaveCodeIdentity)
 		if err != nil {
 			return err
 		}
@@ -389,40 +380,6 @@ func run(fs *flag.FlagSet, args []string, stop <-chan os.Signal, serving func(*c
 	}
 	log.Printf("sl-remote: shutdown complete")
 	return serveErr
-}
-
-// channelConfig builds one wire-channel config: RA-TLS by default — a
-// dedicated channel machine called name presenting the SL-Remote code
-// identity and pinning the trusted ones — plaintext only behind -insecure.
-func channelConfig(name string, insecure bool, secret, secretFile string, trusted ...[]byte) (*ratls.Config, error) {
-	if insecure {
-		return ratls.Insecure(), nil
-	}
-	raw, err := loadChannelSecret(secret, secretFile)
-	if err != nil {
-		return nil, err
-	}
-	m, err := sgx.NewMachine(sgx.MachineConfig{Name: name})
-	if err != nil {
-		return nil, err
-	}
-	return ratls.NewProvisioned(name, m, raw, slremote.EnclaveCodeIdentity, trusted...)
-}
-
-// loadChannelSecret resolves the -ratls-secret[-file] flags; the attested
-// default refuses to start without one.
-func loadChannelSecret(secret, file string) ([]byte, error) {
-	if file != "" {
-		raw, err := os.ReadFile(file)
-		if err != nil {
-			return nil, fmt.Errorf("reading -ratls-secret-file: %w", err)
-		}
-		secret = strings.TrimSpace(string(raw))
-	}
-	if secret == "" {
-		return nil, errors.New("the wire channel is attested by default: provide -ratls-secret or -ratls-secret-file (shared with every sl-local), or opt out explicitly with -insecure")
-	}
-	return []byte(secret), nil
 }
 
 // loadSealKey derives the 128-bit seal key from the operator's secret (a

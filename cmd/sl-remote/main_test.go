@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
 	"flag"
 	"io"
 	"net"
@@ -195,24 +195,16 @@ func get(t *testing.T, addr, path string) (int, []byte) {
 	}
 }
 
-// metric reads one series off an endpoint's flat JSON snapshot (0 when
+// metric reads one series off an endpoint's export exposition (0 when
 // absent).
 func metric(t *testing.T, addr, name string, labels map[string]string) float64 {
 	t.Helper()
-	_, body := get(t, addr, "/metrics?format=json")
-	var series []struct {
-		Name  string  `json:"name"`
-		Value float64 `json:"value"`
+	_, body := get(t, addr, "/metrics?format=export")
+	fams, err := obs.ReadExport(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("metrics export: %v", err)
 	}
-	if err := json.Unmarshal(body, &series); err != nil {
-		t.Fatalf("metrics snapshot: %v", err)
-	}
-	for _, s := range series {
-		if s.Name == obs.Key(name, labels) {
-			return s.Value
-		}
-	}
-	return 0
+	return obs.Flatten(fams).Get(name, labels)
 }
 
 // eventually polls cond, which no event announces, until it holds.

@@ -34,9 +34,9 @@ import (
 	"syscall"
 
 	"repro/internal/cli"
+	"repro/internal/obs"
 	"repro/internal/obs/fleet"
 	"repro/internal/ratls"
-	"repro/internal/sgx"
 	"repro/internal/sllocal"
 	"repro/internal/slremote"
 )
@@ -100,7 +100,7 @@ func run() error {
 	if *addr != "" {
 		agg.Start()
 		defer agg.Stop()
-		srv, err := agg.Serve(*addr)
+		srv, err := obs.Serve(*addr, agg.Handler())
 		if err != nil {
 			return err
 		}
@@ -154,9 +154,9 @@ func oneShot(agg *fleet.Aggregator, traceID string, events, nodes, asJSON bool) 
 			fmt.Fprintf(os.Stderr, "slobs: %v\n", err)
 		}
 		if asJSON {
-			return agg.WriteExport(os.Stdout)
+			return obs.WriteExport(os.Stdout, agg.Merged())
 		}
-		return agg.WritePrometheus(os.Stdout)
+		return obs.WriteFamiliesPrometheus(os.Stdout, agg.Merged())
 	}
 }
 
@@ -168,39 +168,13 @@ func buildTargets(httpTargets, wireTargets targetList, insecure bool, secret, se
 		n, url, _ := strings.Cut(nv, "=")
 		out = append(out, fleet.Target{Name: n, URL: url})
 	}
-	if len(wireTargets) == 0 {
-		return out, nil
-	}
-	machine, err := sgx.NewMachine(sgx.MachineConfig{Name: name})
-	if err != nil {
-		return nil, err
-	}
 	for _, nv := range wireTargets {
 		n, addr, _ := strings.Cut(nv, "=")
-		rc, err := channelConfig(insecure, secret, secretFile, name, machine)
+		rc, err := ratls.FromFlags(insecure, secret, secretFile, name, nil, sllocal.EnclaveCodeIdentity, slremote.EnclaveCodeIdentity)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, fleet.Target{Name: n, Addr: addr, Channel: rc})
 	}
 	return out, nil
-}
-
-// channelConfig mirrors the daemons' channel wiring: RA-TLS by default,
-// plaintext only behind the explicit -insecure flag.
-func channelConfig(insecure bool, secret, secretFile, name string, m *sgx.Machine) (*ratls.Config, error) {
-	if insecure {
-		return ratls.Insecure(), nil
-	}
-	if secretFile != "" {
-		raw, err := os.ReadFile(secretFile)
-		if err != nil {
-			return nil, fmt.Errorf("reading -ratls-secret-file: %w", err)
-		}
-		secret = strings.TrimSpace(string(raw))
-	}
-	if secret == "" {
-		return nil, fmt.Errorf("the wire channel is attested by default: provide -ratls-secret or -ratls-secret-file, or opt out explicitly with -insecure")
-	}
-	return ratls.NewProvisioned(name, m, []byte(secret), sllocal.EnclaveCodeIdentity, slremote.EnclaveCodeIdentity)
 }

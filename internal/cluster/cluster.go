@@ -13,6 +13,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/lease"
 	"repro/internal/obs"
+	"repro/internal/obs/fleet"
 	"repro/internal/ratls"
 	"repro/internal/seccrypto"
 	"repro/internal/slremote"
@@ -79,7 +80,7 @@ type Cluster struct {
 	licCount []int // declared licenses per shard
 
 	obsMu   sync.Mutex
-	targets []*NodeObs // every bundle ever created, dead nodes included
+	targets []*fleet.NodeObs // every bundle ever created, dead nodes included
 }
 
 // New stands the cluster up: a leader per shard (registered in the
@@ -138,11 +139,11 @@ func New(opts Options) (*Cluster, error) {
 // newNodeObs mints and serves an observability bundle named name, or
 // returns nil when Observe is off. Every bundle is remembered for
 // ObsTargets — including ones whose node later dies.
-func (c *Cluster) newNodeObs(name string) (*NodeObs, error) {
+func (c *Cluster) newNodeObs(name string) (*fleet.NodeObs, error) {
 	if !c.opts.Observe {
 		return nil, nil
 	}
-	o := NewNodeObs(name, 0)
+	o := fleet.NewNodeObs(name, 0)
 	if err := o.Serve("127.0.0.1:0", obs.HandlerOptions{}); err != nil {
 		return nil, fmt.Errorf("cluster: obs endpoint for %s: %w", name, err)
 	}
@@ -157,10 +158,10 @@ func (c *Cluster) newNodeObs(name string) (*NodeObs, error) {
 // shard<i>-f<k>. Dead nodes stay listed with closed endpoints — a fleet
 // aggregator scraping the list sees their staleness climb, which is the
 // observable shape of a failover.
-func (c *Cluster) ObsTargets() []*NodeObs {
+func (c *Cluster) ObsTargets() []*fleet.NodeObs {
 	c.obsMu.Lock()
 	defer c.obsMu.Unlock()
-	out := make([]*NodeObs, len(c.targets))
+	out := make([]*fleet.NodeObs, len(c.targets))
 	copy(out, c.targets)
 	return out
 }
@@ -293,7 +294,7 @@ func (c *Cluster) FailOver(shard int) error {
 	// The failover timeline opens with the detection event; in-process
 	// the "probe" is the harness deciding the leader is dead, so the
 	// silence duration is zero.
-	EmitProbeTimeout(s.follower.Obs().flightRec(), shard, s.leader.Addr(), 0)
+	EmitProbeTimeout(flightRec(s.follower.Obs()), shard, s.leader.Addr(), 0)
 	if err := s.follower.Drain(); err != nil {
 		return err
 	}

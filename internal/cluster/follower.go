@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/attest"
+	"repro/internal/obs/fleet"
 	"repro/internal/obs/flight"
 	"repro/internal/ratls"
 	"repro/internal/seccrypto"
@@ -45,7 +46,7 @@ type FollowerOptions struct {
 	// cluster-wide Metrics, and failover flight events land in its
 	// recorder. On Promote the bundle follows the process: the new
 	// leader's counters continue where the follower's left off.
-	Obs *NodeObs
+	Obs *fleet.NodeObs
 }
 
 // Follower tails a shard leader's WAL over the wire and folds every
@@ -145,7 +146,7 @@ func (f *Follower) pullOnce() (caught bool, err error) {
 // managed to ship, which is still a legal (conservation-preserving) state.
 func (f *Follower) Drain() error {
 	f.stopLoop()
-	f.opts.Obs.flightRec().Emit("failover.drain",
+	flightRec(f.opts.Obs).Emit("failover.drain",
 		flight.KV{K: "shard", V: shardLabel(f.opts.Shard)},
 		flight.KV{K: "leader", V: f.opts.LeaderAddr})
 	for {
@@ -185,7 +186,7 @@ func (f *Follower) stopLoop() {
 func (f *Follower) Applied() int64 { return f.replica.Applied() }
 
 // Obs is the follower's observability bundle (nil when unobserved).
-func (f *Follower) Obs() *NodeObs { return f.opts.Obs }
+func (f *Follower) Obs() *fleet.NodeObs { return f.opts.Obs }
 
 // State deep-copies the follower's current state.
 func (f *Follower) State() slremote.State {
@@ -219,7 +220,7 @@ func (f *Follower) Promote(opts NodeOptions) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts.Obs.flightRec().Emit("failover.promote",
+	flightRec(opts.Obs).Emit("failover.promote",
 		flight.KV{K: "shard", V: shardLabel(opts.Shard)},
 		flight.KV{K: "addr", V: n.addr},
 		flight.KV{K: "applied", V: strconv.FormatInt(f.replica.Applied(), 10)})
@@ -228,7 +229,7 @@ func (f *Follower) Promote(opts NodeOptions) (*Node, error) {
 	f.opts.Metrics.failover()
 	f.obsm.setEpoch(opts.Shard, epoch)
 	f.obsm.failover()
-	opts.Obs.flightRec().Emit("cluster.epoch_bump",
+	flightRec(opts.Obs).Emit("cluster.epoch_bump",
 		flight.KV{K: "shard", V: shardLabel(opts.Shard)},
 		flight.KV{K: "epoch", V: strconv.FormatUint(epoch, 10)})
 	return n, nil

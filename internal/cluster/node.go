@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/attest"
 	"repro/internal/audit"
+	"repro/internal/obs/fleet"
 	"repro/internal/ratls"
 	"repro/internal/seccrypto"
 	"repro/internal/slremote"
@@ -52,7 +53,7 @@ type NodeOptions struct {
 	// audit — registers its metrics with the bundle's registry, traces
 	// into its tracer, and emits flight events into its recorder, and the
 	// wire server answers obs_pull scrapes from it.
-	Obs *NodeObs
+	Obs *fleet.NodeObs
 	// ListenAddr is the node's wire listen address (default 127.0.0.1:0,
 	// an ephemeral loopback port — right for in-process clusters; the
 	// sl-remote daemon passes its -addr).
@@ -76,7 +77,7 @@ type Node struct {
 	store    *store.Store // nil: in-memory
 	remote   *slremote.Server
 	wsrv     *wire.Server
-	obs      *NodeObs
+	obs      *fleet.NodeObs
 	done     chan struct{}
 	serveErr error // why the accept loop ended; read after done
 	killed   bool
@@ -111,7 +112,7 @@ func StartNode(opts NodeOptions) (*Node, error) {
 // replica onto the fresh directory). The store closes on any failure.
 func bootNode(opts NodeOptions, attach func(*store.Store, *store.Recovered) (*slremote.Server, error)) (*Node, error) {
 	st, rec, err := store.Open(store.Options{
-		Dir: opts.Dir, Mode: opts.SyncMode, Metrics: opts.Obs.StoreMetrics(),
+		Dir: opts.Dir, Mode: opts.SyncMode, Metrics: storeMetrics(opts.Obs),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: shard %d store: %w", opts.Shard, err)
@@ -217,7 +218,7 @@ func (n *Node) Done() <-chan struct{} { return n.done }
 func (n *Node) Err() error { return n.serveErr }
 
 // Obs is the node's observability bundle (nil when unobserved).
-func (n *Node) Obs() *NodeObs { return n.obs }
+func (n *Node) Obs() *fleet.NodeObs { return n.obs }
 
 // Kill simulates the leader dying: the listener and every connection drop
 // and the store is abandoned without a snapshot or a clean close. The

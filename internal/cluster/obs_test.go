@@ -79,7 +79,7 @@ func TestObsTargetsAndBundleInheritance(t *testing.T) {
 }
 
 // fleetTargets adapts the cluster's bundles (plus extras) to scrape targets.
-func fleetTargets(c *Cluster, extra ...*NodeObs) []fleet.Target {
+func fleetTargets(c *Cluster, extra ...*fleet.NodeObs) []fleet.Target {
 	var out []fleet.Target
 	for _, o := range append(c.ObsTargets(), extra...) {
 		out = append(out, fleet.Target{Name: o.Name, URL: o.URL()})
@@ -121,7 +121,7 @@ func TestClusterObserveFleetFailover(t *testing.T) {
 
 	// The client is a fleet member too: its registry and span ring feed
 	// the same aggregator, so the stitched trace includes the caller side.
-	clientObs := NewNodeObs("client", 64)
+	clientObs := fleet.NewNodeObs("client", 64)
 	if err := clientObs.Serve("127.0.0.1:0", obs.HandlerOptions{}); err != nil {
 		t.Fatalf("client obs: %v", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/lease"
 	"repro/internal/obs"
+	"repro/internal/obs/fleet"
 	"repro/internal/ratls"
 	"repro/internal/seccrypto"
 	"repro/internal/sgx"
@@ -41,7 +42,7 @@ func bootDurableNode(t *testing.T, dir string, sealKey seccrypto.Key, service *a
 		Audit:         aud,
 		SyncMode:      store.SyncBatched,
 		SnapshotEvery: 8,
-		Obs:           cluster.NewNodeObs("restart", 0),
+		Obs:           fleet.NewNodeObs("restart", 0),
 	})
 	if err != nil {
 		t.Fatalf("StartNode: %v", err)

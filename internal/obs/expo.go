@@ -1,146 +1,24 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// WritePrometheus renders the registry in the Prometheus text exposition
-// format (version 0.0.4): # HELP / # TYPE headers, one line per sample,
-// histogram children expanded to cumulative _bucket/_sum/_count series.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	for _, f := range r.sortedFamilies() {
-		if err := f.writePrometheus(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (f *family) writePrometheus(w io.Writer) error {
-	f.mu.RLock()
-	keys := append([]string(nil), f.keys...)
-	children := make([]any, len(keys))
-	for i, k := range keys {
-		children[i] = f.children[k]
-	}
-	f.mu.RUnlock()
-	if len(keys) == 0 {
-		return nil
-	}
-	if f.help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
-		return err
-	}
-	for i, key := range keys {
-		labels := promLabels(f.labelNames, key)
-		switch m := children[i].(type) {
-		case *Counter:
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, labels, m.Value()); err != nil {
-				return err
-			}
-		case *Gauge:
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, labels, formatFloat(m.Value())); err != nil {
-				return err
-			}
-		case funcMetric:
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, labels, formatFloat(m.fn())); err != nil {
-				return err
-			}
-		case *Histogram:
-			if err := m.writePrometheus(w, f.name, f.labelNames, key); err != nil {
-				return err
-			}
-		}
-	}
-	if f.kind == KindHistogram {
-		return f.writeQuantiles(w, keys, children)
-	}
-	return nil
-}
-
-// quantileGauges are the scrape-time percentile estimates derived from each
-// histogram family's buckets (linear interpolation, see Histogram.Quantile).
-var quantileGauges = []struct {
-	suffix string
-	q      float64
-}{
-	{"p50", 0.50},
-	{"p95", 0.95},
-	{"p99", 0.99},
-}
-
-// writeQuantiles emits one derived gauge family per quantile
-// (<name>_p50/_p95/_p99) for every child of a histogram family.
-func (f *family) writeQuantiles(w io.Writer, keys []string, children []any) error {
-	for _, qg := range quantileGauges {
-		name := f.name + "_" + qg.suffix
-		if _, err := fmt.Fprintf(w, "# HELP %s Scrape-time %s estimate from %s buckets.\n", name, qg.suffix, f.name); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", name); err != nil {
-			return err
-		}
-		for i, key := range keys {
-			h, ok := children[i].(*Histogram)
-			if !ok {
-				continue
-			}
-			labels := promLabels(f.labelNames, key)
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(h.Quantile(qg.q))); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (h *Histogram) writePrometheus(w io.Writer, name string, labelNames []string, key string) error {
-	var cum int64
-	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
-		labels := promLabelsWith(labelNames, key, "le", formatFloat(bound))
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, labels, cum); err != nil {
-			return err
-		}
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	infLabels := promLabelsWith(labelNames, key, "le", "+Inf")
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, infLabels, cum); err != nil {
-		return err
-	}
-	base := promLabels(labelNames, key)
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, base, formatFloat(h.Sum())); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, base, h.Count())
-	return err
-}
-
-// promLabels renders `{k="v",...}` for a child key, or "" when unlabeled.
-func promLabels(names []string, key string) string {
-	return promLabelsWith(names, key, "", "")
-}
-
-func promLabelsWith(names []string, key, extraName, extraValue string) string {
-	values := splitKey(key)
+// promLabels renders `{k="v",...}` for a child's positional label values
+// plus an optional extra pair (the histogram's le), or "" when there are
+// none.
+func promLabels(names, values []string, extra ...string) string {
 	var pairs []string
 	for i, n := range names {
 		if i < len(values) {
 			pairs = append(pairs, fmt.Sprintf("%s=%q", n, values[i]))
 		}
 	}
-	if extraName != "" {
-		pairs = append(pairs, fmt.Sprintf("%s=%q", extraName, extraValue))
+	if len(extra) == 2 {
+		pairs = append(pairs, fmt.Sprintf("%s=%q", extra[0], extra[1]))
 	}
 	if len(pairs) == 0 {
 		return ""
@@ -148,16 +26,15 @@ func promLabelsWith(names []string, key, extraName, extraValue string) string {
 	return "{" + strings.Join(pairs, ",") + "}"
 }
 
-func splitKey(key string) []string {
-	if key == "" {
-		return nil
-	}
-	return strings.Split(key, "\x1f")
-}
+// maxExactInt is 2^53, the largest magnitude below which every integer has
+// an exact float64.
+const maxExactInt = 1 << 53
 
-// formatFloat renders floats compactly, with integral values kept short.
+// formatFloat renders floats compactly: integral values up to 2^53 print
+// as integers (a counter reads as the int64 it counts), the rest in the
+// shortest round-tripping form.
 func formatFloat(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+	if v == math.Trunc(v) && math.Abs(v) <= maxExactInt {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
@@ -168,38 +45,28 @@ func formatFloat(v float64) string {
 type Snapshot map[string]float64
 
 // Snapshot captures the registry's current values (func metrics are
-// evaluated).
-func (r *Registry) Snapshot() Snapshot {
+// evaluated): Flatten of Export.
+func (r *Registry) Snapshot() Snapshot { return Flatten(r.Export()) }
+
+// Flatten turns exported families — a registry's own, or ones scraped
+// from a node's /metrics?format=export — into a Snapshot.
+func Flatten(fams []ExportFamily) Snapshot {
 	snap := make(Snapshot)
-	for _, f := range r.sortedFamilies() {
-		f.mu.RLock()
-		keys := append([]string(nil), f.keys...)
-		children := make([]any, len(keys))
-		for i, k := range keys {
-			children[i] = f.children[k]
-		}
-		names := f.labelNames
-		f.mu.RUnlock()
-		for i, key := range keys {
-			labels := labelMap(names, key)
-			switch m := children[i].(type) {
-			case *Counter:
-				snap[Key(f.name, labels)] = float64(m.Value())
-			case *Gauge:
-				snap[Key(f.name, labels)] = m.Value()
-			case funcMetric:
-				snap[Key(f.name, labels)] = m.fn()
-			case *Histogram:
-				snap[Key(f.name+"_count", labels)] = float64(m.Count())
-				snap[Key(f.name+"_sum", labels)] = m.Sum()
+	for _, ef := range fams {
+		for _, c := range ef.Children {
+			labels := labelMap(ef.LabelNames, c.Labels)
+			if ef.Kind == KindHistogram.String() {
+				snap[Key(ef.Name+"_count", labels)] = float64(c.Count)
+				snap[Key(ef.Name+"_sum", labels)] = c.Sum
+				continue
 			}
+			snap[Key(ef.Name, labels)] = c.Value
 		}
 	}
 	return snap
 }
 
-func labelMap(names []string, key string) map[string]string {
-	values := splitKey(key)
+func labelMap(names, values []string) map[string]string {
 	if len(names) == 0 || len(values) == 0 {
 		return nil
 	}
@@ -227,25 +94,4 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 // Get returns the sample for Key(name, labels), or 0 when absent.
 func (s Snapshot) Get(name string, labels map[string]string) float64 {
 	return s[Key(name, labels)]
-}
-
-// WriteJSON renders the snapshot as sorted-key JSON (the /metrics?format=json
-// exposition).
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	keys := make([]string, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	ordered := make([]struct {
-		Name  string  `json:"name"`
-		Value float64 `json:"value"`
-	}, len(keys))
-	for i, k := range keys {
-		ordered[i].Name = k
-		ordered[i].Value = s[k]
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ordered)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // ExportChild is one sample of an exported family. Labels are positional,
@@ -31,7 +32,9 @@ type ExportFamily struct {
 }
 
 // Export captures every family with at least one child, in registration
-// order, evaluating func metrics at call time.
+// order, evaluating func metrics at call time. It is the only walk over a
+// registry: the Prometheus text, the export JSON, Snapshot and the fleet
+// merge all render from its output.
 func (r *Registry) Export() []ExportFamily {
 	var out []ExportFamily
 	for _, f := range r.sortedFamilies() {
@@ -61,7 +64,12 @@ func (f *family) export() (ExportFamily, bool) {
 		Children:   make([]ExportChild, 0, len(keys)),
 	}
 	for i, key := range keys {
-		c := ExportChild{Labels: splitKey(key)}
+		var c ExportChild
+		if len(f.labelNames) > 0 {
+			// Positional, one value per name: a lone empty value is a
+			// value, not an unlabeled child.
+			c.Labels = strings.Split(key, labelSep)
+		}
 		switch m := children[i].(type) {
 		case *Counter:
 			c.Value = float64(m.Value())
@@ -111,10 +119,15 @@ func ReadExport(r io.Reader) ([]ExportFamily, error) {
 	return fams, nil
 }
 
+// WritePrometheus renders the registry in the Prometheus text format.
+func (r *Registry) WritePrometheus(w io.Writer) error { return WriteFamiliesPrometheus(w, r.Export()) }
+
 // WriteFamiliesPrometheus renders exported families in the Prometheus text
-// format, identically to Registry.WritePrometheus (including the derived
-// _p50/_p95/_p99 gauges recomputed from the exported buckets). The fleet
-// aggregator uses it to expose merged snapshots.
+// exposition format (version 0.0.4): # HELP / # TYPE headers, one line per
+// sample, histogram children expanded to cumulative _bucket/_sum/_count
+// series plus derived _p50/_p95/_p99 gauges recomputed from the buckets.
+// It is the only Prometheus writer: a node's /metrics and the fleet's
+// merged /metrics are both this function over []ExportFamily.
 func WriteFamiliesPrometheus(w io.Writer, fams []ExportFamily) error {
 	for _, ef := range fams {
 		if err := ef.writePrometheus(w); err != nil {
@@ -137,14 +150,13 @@ func (ef ExportFamily) writePrometheus(w io.Writer) error {
 		return err
 	}
 	for _, c := range ef.Children {
-		labels := promLabels(ef.LabelNames, labelKey(c.Labels))
 		if ef.Kind == KindHistogram.String() {
 			if err := writeBucketsPrometheus(w, ef, c); err != nil {
 				return err
 			}
 			continue
 		}
-		if _, err := fmt.Fprintf(w, "%s%s %s\n", ef.Name, labels, formatFloat(c.Value)); err != nil {
+		if _, err := fmt.Fprintf(w, "%s%s %s\n", ef.Name, promLabels(ef.LabelNames, c.Labels), formatFloat(c.Value)); err != nil {
 			return err
 		}
 	}
@@ -155,13 +167,12 @@ func (ef ExportFamily) writePrometheus(w io.Writer) error {
 }
 
 func writeBucketsPrometheus(w io.Writer, ef ExportFamily, c ExportChild) error {
-	key := labelKey(c.Labels)
 	var cum int64
 	for i, bound := range ef.Bounds {
 		if i < len(c.Buckets) {
 			cum += c.Buckets[i]
 		}
-		labels := promLabelsWith(ef.LabelNames, key, "le", formatFloat(bound))
+		labels := promLabels(ef.LabelNames, c.Labels, "le", formatFloat(bound))
 		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", ef.Name, labels, cum); err != nil {
 			return err
 		}
@@ -169,11 +180,11 @@ func writeBucketsPrometheus(w io.Writer, ef ExportFamily, c ExportChild) error {
 	if len(c.Buckets) == len(ef.Bounds)+1 {
 		cum += c.Buckets[len(ef.Bounds)]
 	}
-	infLabels := promLabelsWith(ef.LabelNames, key, "le", "+Inf")
+	infLabels := promLabels(ef.LabelNames, c.Labels, "le", "+Inf")
 	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", ef.Name, infLabels, cum); err != nil {
 		return err
 	}
-	base := promLabels(ef.LabelNames, key)
+	base := promLabels(ef.LabelNames, c.Labels)
 	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", ef.Name, base, formatFloat(c.Sum)); err != nil {
 		return err
 	}
@@ -181,6 +192,19 @@ func writeBucketsPrometheus(w io.Writer, ef ExportFamily, c ExportChild) error {
 	return err
 }
 
+// quantileGauges are the scrape-time percentile estimates derived from each
+// histogram family's buckets (linear interpolation, see BucketQuantile).
+var quantileGauges = []struct {
+	suffix string
+	q      float64
+}{
+	{"p50", 0.50},
+	{"p95", 0.95},
+	{"p99", 0.99},
+}
+
+// writeQuantiles emits one derived gauge family per quantile
+// (<name>_p50/_p95/_p99) for every child of a histogram family.
 func (ef ExportFamily) writeQuantiles(w io.Writer) error {
 	for _, qg := range quantileGauges {
 		name := ef.Name + "_" + qg.suffix
@@ -191,9 +215,8 @@ func (ef ExportFamily) writeQuantiles(w io.Writer) error {
 			return err
 		}
 		for _, c := range ef.Children {
-			labels := promLabels(ef.LabelNames, labelKey(c.Labels))
 			q := BucketQuantile(ef.Bounds, c.Buckets, qg.q)
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(q)); err != nil {
+			if _, err := fmt.Fprintf(w, "%s%s %s\n", name, promLabels(ef.LabelNames, c.Labels), formatFloat(q)); err != nil {
 				return err
 			}
 		}

@@ -58,24 +58,6 @@ func TestExportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteFamiliesPrometheusMatchesRegistry pins the fleet aggregator's
-// contract: rendering exported families produces the identical text the
-// node itself would serve, including the derived quantile gauges.
-func TestWriteFamiliesPrometheusMatchesRegistry(t *testing.T) {
-	reg := exportTestRegistry()
-	var direct, viaExport bytes.Buffer
-	if err := reg.WritePrometheus(&direct); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	if err := WriteFamiliesPrometheus(&viaExport, reg.Export()); err != nil {
-		t.Fatalf("WriteFamiliesPrometheus: %v", err)
-	}
-	if direct.String() != viaExport.String() {
-		t.Errorf("export rendering diverged from the registry's:\n--- direct ---\n%s--- via export ---\n%s",
-			direct.String(), viaExport.String())
-	}
-}
-
 func TestBucketQuantile(t *testing.T) {
 	bounds := []float64{1, 2, 4}
 	cases := []struct {

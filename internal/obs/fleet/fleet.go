@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sort"
 	"sync"
@@ -127,7 +126,11 @@ func (a *Aggregator) ScrapeOnce() error {
 		wg.Add(1)
 		go func(i int, t Target) {
 			defer wg.Done()
-			fams, err := a.scrapeMetrics(t)
+			raw, err := a.fetch(t, partMetrics, "")
+			var fams []obs.ExportFamily
+			if err == nil {
+				fams, err = obs.ReadExport(bytes.NewReader(raw))
+			}
 			a.mu.Lock()
 			st := a.nodes[t.Name]
 			if err != nil {
@@ -184,60 +187,37 @@ func (a *Aggregator) Stop() {
 	})
 }
 
-// scrapeMetrics fetches one target's full-fidelity export snapshot.
-func (a *Aggregator) scrapeMetrics(t Target) ([]obs.ExportFamily, error) {
+// part names one section of a node's exposition.
+type part int
+
+const (
+	partMetrics part = iota // export JSON ([]obs.ExportFamily)
+	partTrace               // obs.TraceDump, filtered by trace ID
+	partEvents              // flight.Dump
+)
+
+// fetch returns the raw JSON of one part of a target's exposition, over
+// HTTP when the target has a URL, through obs_pull otherwise; both
+// transports carry the same bytes, so each caller keeps one parse.
+func (a *Aggregator) fetch(t Target, p part, traceID string) ([]byte, error) {
 	if t.URL != "" {
-		body, err := a.httpGet(t.URL + "/metrics?format=export")
-		if err != nil {
-			return nil, err
-		}
-		return obs.ReadExport(bytes.NewReader(body))
+		paths := [...]string{"/metrics?format=export", "/trace?trace=" + traceID, "/events"}
+		return a.httpGet(t.URL + paths[p])
 	}
-	resp, err := a.obsPull(t, "")
+	rc := t.Channel
+	if rc == nil {
+		rc = ratls.Insecure()
+	}
+	c, err := wire.DialPolicy(t.Addr, a.opts.Timeout, rc, wire.DefaultRetryPolicy(time.Now().UnixNano()))
 	if err != nil {
 		return nil, err
 	}
-	return obs.ReadExport(bytes.NewReader(resp.Metrics))
-}
-
-// scrapeTrace fetches one target's (optionally filtered) trace dump.
-func (a *Aggregator) scrapeTrace(t Target, traceID string) (obs.TraceDump, error) {
-	if t.URL != "" {
-		body, err := a.httpGet(t.URL + "/trace?trace=" + traceID)
-		if err != nil {
-			return obs.TraceDump{}, err
-		}
-		var dump obs.TraceDump
-		if err := json.Unmarshal(body, &dump); err != nil {
-			return obs.TraceDump{}, fmt.Errorf("parsing trace dump: %w", err)
-		}
-		return dump, nil
-	}
-	resp, err := a.obsPull(t, traceID)
+	defer c.Close()
+	resp, err := c.ObsPull(traceID)
 	if err != nil {
-		return obs.TraceDump{}, err
+		return nil, err
 	}
-	var dump obs.TraceDump
-	if err := json.Unmarshal(resp.Trace, &dump); err != nil {
-		return obs.TraceDump{}, fmt.Errorf("parsing trace dump: %w", err)
-	}
-	return dump, nil
-}
-
-// scrapeEvents fetches one target's flight-recorder dump.
-func (a *Aggregator) scrapeEvents(t Target) (flight.Dump, error) {
-	if t.URL != "" {
-		body, err := a.httpGet(t.URL + "/events")
-		if err != nil {
-			return flight.Dump{}, err
-		}
-		return flight.ParseDump(bytes.NewReader(body))
-	}
-	resp, err := a.obsPull(t, "")
-	if err != nil {
-		return flight.Dump{}, err
-	}
-	return flight.ParseDump(bytes.NewReader(resp.Events))
+	return [...]json.RawMessage{resp.Metrics, resp.Trace, resp.Events}[p], nil
 }
 
 func (a *Aggregator) httpGet(url string) ([]byte, error) {
@@ -250,19 +230,6 @@ func (a *Aggregator) httpGet(url string) ([]byte, error) {
 		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
 	return io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-}
-
-func (a *Aggregator) obsPull(t Target, traceFilter string) (wire.ObsPullResponse, error) {
-	rc := t.Channel
-	if rc == nil {
-		rc = ratls.Insecure()
-	}
-	c, err := wire.DialPolicy(t.Addr, a.opts.Timeout, rc, wire.DefaultRetryPolicy(time.Now().UnixNano()))
-	if err != nil {
-		return wire.ObsPullResponse{}, err
-	}
-	defer c.Close()
-	return c.ObsPull(traceFilter)
 }
 
 // Merged merges the last-scraped snapshots under the merge rules and
@@ -333,7 +300,7 @@ func (a *Aggregator) selfFamilies(conflicts map[string]int64) []obs.ExportFamily
 	if len(conflicts) > 0 {
 		conflictFam := obs.ExportFamily{
 			Name: "fleet_merge_conflicts_total", Kind: "counter",
-			Help:       "Node snapshots dropped from the merge for structural mismatch (kind, labels, or bucket bounds).",
+			Help:       "Node contributions dropped from the merge for structural mismatch (kind, labels, buckets, or bucket bounds).",
 			LabelNames: []string{"family"},
 		}
 		fams := make([]string, 0, len(conflicts))
@@ -350,41 +317,18 @@ func (a *Aggregator) selfFamilies(conflicts map[string]int64) []obs.ExportFamily
 	return out
 }
 
-// WritePrometheus renders the merged fleet view in the Prometheus text
-// format (with _p50/_p95/_p99 recomputed from merged buckets).
-func (a *Aggregator) WritePrometheus(w io.Writer) error {
-	return obs.WriteFamiliesPrometheus(w, a.Merged())
-}
-
-// WriteExport renders the merged fleet view as export JSON — the same
-// shape the nodes expose, so aggregators compose.
-func (a *Aggregator) WriteExport(w io.Writer) error {
-	return obs.WriteExport(w, a.Merged())
-}
-
 // StitchTrace fans /trace?trace=id out to every target live and joins
 // the spans into one cross-node tree. Unreachable nodes are skipped
 // (their absence surfaces as orphaned subtrees) and counted as scrape
 // errors.
 func (a *Aggregator) StitchTrace(traceID string) *Trace {
-	dumps := make(map[string]obs.TraceDump)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, t := range a.opts.Targets {
-		wg.Add(1)
-		go func(t Target) {
-			defer wg.Done()
-			dump, err := a.scrapeTrace(t, traceID)
-			if err != nil {
-				a.countErr(t.Name, err)
-				return
-			}
-			mu.Lock()
-			dumps[t.Name] = dump
-			mu.Unlock()
-		}(t)
-	}
-	wg.Wait()
+	dumps := fanOut(a, partTrace, traceID, func(raw []byte) (obs.TraceDump, error) {
+		var dump obs.TraceDump
+		if err := json.Unmarshal(raw, &dump); err != nil {
+			return obs.TraceDump{}, fmt.Errorf("parsing trace dump: %w", err)
+		}
+		return dump, nil
+	})
 	return Stitch(traceID, dumps)
 }
 
@@ -392,25 +336,38 @@ func (a *Aggregator) StitchTrace(traceID string) *Trace {
 // timelines into one fleet black box, ordered by time. Unreachable
 // nodes are skipped and counted as scrape errors.
 func (a *Aggregator) Events() []flight.Event {
-	dumps := make(map[string]flight.Dump)
+	return flight.Merge(fanOut(a, partEvents, "", func(raw []byte) (flight.Dump, error) {
+		return flight.ParseDump(bytes.NewReader(raw))
+	}))
+}
+
+// fanOut fetches part from every target concurrently and parses each
+// answer, keyed by node name; failures are counted as scrape errors and
+// leave the node out.
+func fanOut[T any](a *Aggregator, p part, traceID string, parse func([]byte) (T, error)) map[string]T {
+	out := make(map[string]T)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, t := range a.opts.Targets {
 		wg.Add(1)
 		go func(t Target) {
 			defer wg.Done()
-			dump, err := a.scrapeEvents(t)
+			raw, err := a.fetch(t, p, traceID)
+			var v T
+			if err == nil {
+				v, err = parse(raw)
+			}
 			if err != nil {
 				a.countErr(t.Name, err)
 				return
 			}
 			mu.Lock()
-			dumps[t.Name] = dump
+			out[t.Name] = v
 			mu.Unlock()
 		}(t)
 	}
 	wg.Wait()
-	return flight.Merge(dumps)
+	return out
 }
 
 func (a *Aggregator) countErr(node string, err error) {
@@ -457,24 +414,17 @@ func (a *Aggregator) Nodes() []NodeStatus {
 	return out
 }
 
-// Handler serves the fleet view:
+// Handler serves the fleet view (serve it with obs.Serve):
 //
-//	/metrics   merged Prometheus text (?format=export for export JSON)
+//	/metrics   obs.MetricsHandler over Merged: merged Prometheus text, or
+//	           ?format=export for export JSON (aggregators compose)
 //	/trace     stitched cross-node trace for ?trace=<hex id>
 //	           (?render=text for the human timeline)
 //	/events    merged flight-recorder timeline, newest last
 //	/nodes     per-node scrape health JSON
 func (a *Aggregator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("format") == "export" {
-			w.Header().Set("Content-Type", "application/json")
-			_ = a.WriteExport(w)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = a.WritePrometheus(w)
-	})
+	mux.Handle("/metrics", obs.MetricsHandler(a.Merged))
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
 		id := req.URL.Query().Get("trace")
 		if id == "" {
@@ -513,27 +463,3 @@ func (a *Aggregator) Handler() http.Handler {
 	})
 	return mux
 }
-
-// Server is a running fleet endpoint (see Aggregator.Serve).
-type Server struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// Serve starts an HTTP server for Handler on addr (use ":0" for an
-// ephemeral port); the returned server reports its bound address.
-func (a *Aggregator) Serve(addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: listen %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: a.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = srv.Serve(ln) }()
-	return &Server{ln: ln, srv: srv}, nil
-}
-
-// Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close shuts the endpoint down.
-func (s *Server) Close() error { return s.srv.Close() }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -11,39 +10,26 @@ import (
 
 	"repro/internal/attest"
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 	"repro/internal/ratls"
 	"repro/internal/slremote"
 	"repro/internal/wire"
 )
 
-// obsNode is one synthetic fleet member: a registry, tracer, and flight
-// recorder behind a real obs HTTP endpoint.
-type obsNode struct {
-	reg *obs.Registry
-	tr  *obs.Tracer
-	rec *flight.Recorder
-	ep  *obs.HTTPServer
-}
-
-func startObsNode(t *testing.T) *obsNode {
+// startObsNode is one synthetic fleet member: a bundle behind a real obs
+// HTTP endpoint.
+func startObsNode(t *testing.T) *NodeObs {
 	t.Helper()
-	n := &obsNode{reg: obs.NewRegistry(), tr: obs.NewTracer(64), rec: flight.NewRecorder(64)}
-	ep, err := obs.StartHTTPOpts("127.0.0.1:0", n.reg, n.tr,
-		obs.HandlerOptions{Events: n.rec.HTTPHandler()})
-	if err != nil {
-		t.Fatalf("StartHTTPOpts: %v", err)
+	n := NewNodeObs(t.Name(), 64)
+	if err := n.Serve("127.0.0.1:0", obs.HandlerOptions{}); err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
-	t.Cleanup(func() { ep.Close() })
-	n.ep = ep
+	t.Cleanup(n.Close)
 	return n
 }
 
-func (n *obsNode) url() string { return "http://" + n.ep.Addr() }
-
 // startWireObsNode serves the same bundle through a wire server's
 // obs_pull RPC instead of HTTP — the attested-channel scrape path.
-func startWireObsNode(t *testing.T, n *obsNode) string {
+func startWireObsNode(t *testing.T, n *NodeObs) string {
 	t.Helper()
 	remote, err := slremote.NewServer(slremote.DefaultConfig(), attest.NewService())
 	if err != nil {
@@ -53,13 +39,7 @@ func startWireObsNode(t *testing.T, n *obsNode) string {
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	srv, err := wire.NewServer(remote, t.Logf, ratls.Insecure(), nil, nil, func(traceFilter string) wire.ObsPullResponse {
-		var resp wire.ObsPullResponse
-		resp.Metrics, _ = json.Marshal(n.reg.Export())
-		resp.Trace, _ = json.Marshal(n.tr.Dump(traceFilter))
-		resp.Events, _ = json.Marshal(n.rec.Dump())
-		return resp
-	})
+	srv, err := wire.NewServer(remote, t.Logf, ratls.Insecure(), nil, nil, n.PullSource())
 	if err != nil {
 		t.Fatalf("wire.NewServer: %v", err)
 	}
@@ -88,15 +68,15 @@ func deadTargetURL(t *testing.T) string {
 
 func TestAggregatorScrapeMergeAndSelfMetrics(t *testing.T) {
 	a := startObsNode(t)
-	a.reg.Counter("fleet_demo_total", "demo").Add(2)
+	a.Registry.Counter("fleet_demo_total", "demo").Add(2)
 	b := startObsNode(t)
-	b.reg.Counter("fleet_demo_total", "demo").Add(3)
+	b.Registry.Counter("fleet_demo_total", "demo").Add(3)
 	wireAddr := startWireObsNode(t, b)
 
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	agg := New(Options{
 		Targets: []Target{
-			{Name: "node-a", URL: a.url()},
+			{Name: "node-a", URL: a.URL()},
 			{Name: "node-b", Addr: wireAddr},
 			{Name: "node-dead", URL: deadTargetURL(t)},
 		},
@@ -159,12 +139,12 @@ func TestAggregatorScrapeMergeAndSelfMetrics(t *testing.T) {
 
 func TestAggregatorStaleSnapshotSurvivesNodeDeath(t *testing.T) {
 	a := startObsNode(t)
-	a.reg.Counter("stale_demo_total", "demo").Add(7)
+	a.Registry.Counter("stale_demo_total", "demo").Add(7)
 
 	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	now := t0
 	agg := New(Options{
-		Targets: []Target{{Name: "node-a", URL: a.url()}},
+		Targets: []Target{{Name: "node-a", URL: a.URL()}},
 		Timeout: 2 * time.Second,
 		Now:     func() time.Time { return now },
 	})
@@ -174,7 +154,7 @@ func TestAggregatorStaleSnapshotSurvivesNodeDeath(t *testing.T) {
 
 	// The node dies; the next scrape fails but the last good snapshot
 	// stays, visibly stale.
-	a.ep.Close()
+	a.Close()
 	now = t0.Add(30 * time.Second)
 	if err := agg.ScrapeOnce(); err == nil {
 		t.Fatal("scrape of a closed endpoint succeeded")
@@ -211,21 +191,21 @@ func TestAggregatorStitchTraceAndEvents(t *testing.T) {
 	// One cross-node trace: the client's RPC span context is carried to
 	// the server, whose handler span links into the same trace — exactly
 	// what the wire layer does on a real request.
-	root := client.tr.Start("client.request")
+	root := client.Tracer.Start("client.request")
 	rpc := root.Child("rpc.renew")
-	handler := server.tr.StartLinked("rpc.renew", rpc.Context())
+	handler := server.Tracer.StartLinked("rpc.renew", rpc.Context())
 	handler.End(nil)
 	rpc.End(nil)
 	root.End(nil)
 	traceID := root.Context().Trace.String()
 
-	client.rec.Emit("test.request_sent")
-	server.rec.Emit("test.request_handled")
+	client.Flight.Emit("test.request_sent")
+	server.Flight.Emit("test.request_handled")
 
 	agg := New(Options{
 		Targets: []Target{
-			{Name: "client", URL: client.url()},
-			{Name: "server", URL: server.url()},
+			{Name: "client", URL: client.URL()},
+			{Name: "server", URL: server.URL()},
 		},
 		Timeout: 2 * time.Second,
 	})
@@ -253,15 +233,15 @@ func TestAggregatorStitchTraceAndEvents(t *testing.T) {
 
 func TestAggregatorHTTPEndpoint(t *testing.T) {
 	a := startObsNode(t)
-	a.reg.Counter("endpoint_demo_total", "demo").Add(1)
+	a.Registry.Counter("endpoint_demo_total", "demo").Add(1)
 	agg := New(Options{
-		Targets: []Target{{Name: "node-a", URL: a.url()}},
+		Targets: []Target{{Name: "node-a", URL: a.URL()}},
 		Timeout: 2 * time.Second,
 	})
 	if err := agg.ScrapeOnce(); err != nil {
 		t.Fatalf("ScrapeOnce: %v", err)
 	}
-	srv, err := agg.Serve("127.0.0.1:0")
+	srv, err := obs.Serve("127.0.0.1:0", agg.Handler())
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}

@@ -65,7 +65,8 @@ func (o MergeOptions) gaugeRule(family string) GaugeRule {
 
 // MergeResult is MergeSnapshots' output: the merged families (sorted by
 // name) and, per family, how many node contributions had to be dropped
-// because they disagreed structurally with the rest of the fleet.
+// because they disagreed structurally with the rest of the fleet or were
+// malformed.
 type MergeResult struct {
 	Families  []obs.ExportFamily
 	Conflicts map[string]int64
@@ -85,8 +86,9 @@ type mergedFamily struct {
 // quantiles); per-entity families (see RekeyLabels) gain a "node" label
 // instead of merging. Structural disagreements — kind or label-name or
 // bucket-bound mismatches between nodes — drop the offending node's
-// contribution and are counted in Conflicts. Node names are processed in
-// sorted order, so the output is deterministic.
+// contribution, and a malformed child (label or bucket count not matching
+// its family) is dropped alone; both are counted in Conflicts. Node names
+// are processed in sorted order, so the output is deterministic.
 func MergeSnapshots(nodes map[string][]obs.ExportFamily, opts MergeOptions) MergeResult {
 	rekeySet := make(map[string]bool)
 	rekeyLabels := opts.RekeyLabels
@@ -118,7 +120,9 @@ func MergeSnapshots(nodes map[string][]obs.ExportFamily, opts MergeOptions) Merg
 				conflicts[ef.Name]++
 				continue
 			}
-			mergeChildren(mf, ef, node, opts)
+			if dropped := mergeChildren(mf, ef, node, opts); dropped > 0 {
+				conflicts[ef.Name] += dropped
+			}
 		}
 	}
 
@@ -182,13 +186,23 @@ func compatible(have obs.ExportFamily, ef obs.ExportFamily) bool {
 	return true
 }
 
-func mergeChildren(mf *mergedFamily, ef obs.ExportFamily, node string, opts MergeOptions) {
+// mergeChildren folds one node's children into mf and returns how many it
+// dropped as malformed: a child must carry one label value per label name
+// and, in a histogram, one bucket per bound plus the overflow bucket.
+// Exports arrive from other processes, so their shape is checked here,
+// not assumed.
+func mergeChildren(mf *mergedFamily, ef obs.ExportFamily, node string, opts MergeOptions) (dropped int64) {
 	for _, c := range ef.Children {
+		if len(c.Labels) != len(ef.LabelNames) ||
+			(ef.Kind == "histogram" && len(c.Buckets) != len(ef.Bounds)+1) {
+			dropped++
+			continue
+		}
 		labels := append([]string(nil), c.Labels...)
 		if mf.rekeyed {
 			labels = append(labels, node)
 		}
-		key := labelKey(labels)
+		key := obs.LabelKey(labels)
 		idx, ok := mf.children[key]
 		if !ok {
 			nc := c
@@ -216,36 +230,12 @@ func mergeChildren(mf *mergedFamily, ef obs.ExportFamily, node string, opts Merg
 				dst.Value += c.Value
 			}
 		case "histogram":
-			if len(dst.Buckets) == len(c.Buckets) {
-				for i := range c.Buckets {
-					dst.Buckets[i] += c.Buckets[i]
-				}
-				dst.Sum += c.Sum
-				dst.Count += c.Count
+			for i := range c.Buckets {
+				dst.Buckets[i] += c.Buckets[i]
 			}
+			dst.Sum += c.Sum
+			dst.Count += c.Count
 		}
 	}
-}
-
-// labelKey mirrors the obs registry's child keying (positional values
-// joined on an unprintable separator) for the merger's own maps.
-func labelKey(values []string) string {
-	switch len(values) {
-	case 0:
-		return ""
-	case 1:
-		return values[0]
-	}
-	n := len(values) - 1
-	for _, v := range values {
-		n += len(v)
-	}
-	b := make([]byte, 0, n)
-	for i, v := range values {
-		if i > 0 {
-			b = append(b, '\x1f')
-		}
-		b = append(b, v...)
-	}
-	return string(b)
+	return dropped
 }

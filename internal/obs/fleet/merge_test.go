@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -243,5 +245,65 @@ demo_total 5
 `
 	if got := b.String(); got != want {
 		t.Errorf("merged exposition:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestMergeDropsMalformedChildren: an export arrives from another process,
+// so a child whose label or bucket count does not match its family is
+// dropped and counted, never adopted as the fleet's shape.
+func TestMergeDropsMalformedChildren(t *testing.T) {
+	hist := func(labels []string, buckets ...int64) obs.ExportFamily {
+		return obs.ExportFamily{Name: "h_seconds", Kind: "histogram", LabelNames: []string{"op"},
+			Bounds: []float64{1, 2, 3}, Children: []obs.ExportChild{{Labels: labels, Buckets: buckets, Sum: 1, Count: 10}}}
+	}
+	good := hist([]string{"x"}, 1, 2, 3, 4)
+	for _, tc := range []struct {
+		name string
+		a    obs.ExportFamily
+	}{
+		{"too few buckets", hist([]string{"x"}, 5, 5)},
+		{"too many buckets", hist([]string{"x"}, 1, 1, 1, 1, 6)},
+		{"too few labels", hist(nil, 1, 2, 3, 4)},
+		{"too many labels", hist([]string{"x", "y"}, 1, 2, 3, 4)},
+	} {
+		res := MergeSnapshots(map[string][]obs.ExportFamily{"a": {tc.a}, "b": {good}}, MergeOptions{})
+		f := findFamily(t, res.Families, "h_seconds")
+		if len(f.Children) != 1 || len(f.Children[0].Buckets) != 4 || f.Children[0].Buckets[3] != 4 {
+			t.Errorf("%s: merged children = %+v, want only b's well-formed child", tc.name, f.Children)
+		}
+		if res.Conflicts["h_seconds"] != 1 {
+			t.Errorf("%s: conflicts = %v, want h_seconds: 1", tc.name, res.Conflicts)
+		}
+	}
+
+	// A well-formed export is never dropped, an empty label value included.
+	reg := obs.NewRegistry()
+	reg.CounterVec("empty_label_total", "Empty label value.", "op").With("").Inc()
+	res := MergeSnapshots(map[string][]obs.ExportFamily{"a": reg.Export()}, MergeOptions{})
+	if f := findFamily(t, res.Families, "empty_label_total"); len(f.Children) != 1 || len(res.Conflicts) != 0 {
+		t.Errorf("registry export: children %+v, conflicts %v", f.Children, res.Conflicts)
+	}
+}
+
+// TestIntegralValuesPrintExactly: every integral value below 2^53 prints
+// as an integer, the same on a node's /metrics and through the fleet.
+func TestIntegralValuesPrintExactly(t *testing.T) {
+	for _, v := range []int64{1e15 + 1, 1<<52 + 1} {
+		reg := obs.NewRegistry()
+		reg.Counter("big_total", "Big.").Add(v)
+		want := fmt.Sprintf("big_total %d\n", v)
+		var node, merged bytes.Buffer
+		if err := reg.WritePrometheus(&node); err != nil {
+			t.Fatal(err)
+		}
+		res := MergeSnapshots(map[string][]obs.ExportFamily{"a": reg.Export()}, MergeOptions{})
+		if err := obs.WriteFamiliesPrometheus(&merged, res.Families); err != nil {
+			t.Fatal(err)
+		}
+		for view, text := range map[string]string{"node": node.String(), "fleet": merged.String()} {
+			if !strings.Contains(text, want) {
+				t.Errorf("%s render of %d:\n%s\nwant a line %q", view, v, text, want)
+			}
+		}
 	}
 }

@@ -25,41 +25,23 @@ type HandlerOptions struct {
 	PProf bool
 }
 
-// Handler returns an http.Handler serving the observability endpoints:
+// Handler returns an http.Handler serving a node's observability
+// endpoints:
 //
-//	/metrics          Prometheus text exposition (?format=json for the flat
-//	                  JSON snapshot, ?format=export for the full-fidelity
-//	                  form the fleet aggregator merges)
+//	/metrics          MetricsHandler over reg.Export: Prometheus text, or
+//	                  ?format=export for the full-fidelity form the fleet
+//	                  aggregator merges
 //	/healthz          200 "ok" liveness probe
 //	/readyz           200 "ready" / 503 "not ready" readiness probe
 //	/trace            TraceDump JSON of the tracer's ring buffer (newest
 //	                  last, with a truncated marker); ?trace=<hex TraceID>
 //	                  filters to one trace
 //
-// tr may be nil, in which case /trace serves an empty dump.
-func Handler(reg *Registry, tr *Tracer) http.Handler {
-	return HandlerOpts(reg, tr, HandlerOptions{})
-}
-
-// HandlerOpts is Handler with optional readiness, audit, and pprof
-// endpoints (see HandlerOptions).
-func HandlerOpts(reg *Registry, tr *Tracer, opts HandlerOptions) http.Handler {
+// plus the optional endpoints of opts. tr may be nil, in which case
+// /trace serves an empty dump.
+func Handler(reg *Registry, tr *Tracer, opts HandlerOptions) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		switch req.URL.Query().Get("format") {
-		case "json":
-			w.Header().Set("Content-Type", "application/json")
-			_ = reg.Snapshot().WriteJSON(w)
-		case "export":
-			// Full-fidelity form (raw histogram buckets, positional
-			// labels): what the fleet aggregator scrapes and merges.
-			w.Header().Set("Content-Type", "application/json")
-			_ = WriteExport(w, reg.Export())
-		default:
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = reg.WritePrometheus(w)
-		}
-	})
+	mux.Handle("/metrics", MetricsHandler(reg.Export))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -95,26 +77,36 @@ func HandlerOpts(reg *Registry, tr *Tracer, opts HandlerOptions) http.Handler {
 	return mux
 }
 
-// HTTPServer is a running observability endpoint (see StartHTTP).
+// MetricsHandler serves the families fams returns at request time:
+// Prometheus text by default, export JSON with ?format=export. A node
+// serves its registry's Export through it and the fleet aggregator its
+// merged view, so both expositions are one rendering of []ExportFamily.
+func MetricsHandler(fams func() []ExportFamily) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Query().Get("format") == "export" {
+			w.Header().Set("Content-Type", "application/json")
+			_ = WriteExport(w, fams())
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = WriteFamiliesPrometheus(w, fams())
+	})
+}
+
+// HTTPServer is a running HTTP endpoint (see Serve).
 type HTTPServer struct {
 	ln  net.Listener
 	srv *http.Server
 }
 
-// StartHTTP listens on addr and serves Handler(reg, tr) in a background
-// goroutine. Use Addr for the bound address (useful with ":0") and Close
-// to shut down.
-func StartHTTP(addr string, reg *Registry, tr *Tracer) (*HTTPServer, error) {
-	return StartHTTPOpts(addr, reg, tr, HandlerOptions{})
-}
-
-// StartHTTPOpts is StartHTTP with HandlerOptions.
-func StartHTTPOpts(addr string, reg *Registry, tr *Tracer, opts HandlerOptions) (*HTTPServer, error) {
+// Serve listens on addr and serves h in a background goroutine. Use Addr
+// for the bound address (useful with ":0") and Close to shut down.
+func Serve(addr string, h http.Handler) (*HTTPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: HandlerOpts(reg, tr, opts), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = srv.Serve(ln) }()
 	return &HTTPServer{ln: ln, srv: srv}, nil
 }

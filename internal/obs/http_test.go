@@ -16,7 +16,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	tr := NewTracer(16)
 	tr.Start("rpc.renew").End(nil)
 
-	srv := httptest.NewServer(Handler(reg, tr))
+	srv := httptest.NewServer(Handler(reg, tr, HandlerOptions{}))
 	defer srv.Close()
 
 	get := func(path string) (string, string) {
@@ -43,19 +43,16 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Fatalf("/metrics content type = %q", ct)
 	}
 
-	body, ct = get("/metrics?format=json")
+	body, ct = get("/metrics?format=export")
 	if !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("json content type = %q", ct)
+		t.Fatalf("export content type = %q", ct)
 	}
-	var samples []struct {
-		Name  string  `json:"name"`
-		Value float64 `json:"value"`
+	fams, err := ReadExport(strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("export decode: %v\n%s", err, body)
 	}
-	if err := json.Unmarshal([]byte(body), &samples); err != nil {
-		t.Fatalf("json decode: %v\n%s", err, body)
-	}
-	if len(samples) != 1 || samples[0].Name != "renewals_total" || samples[0].Value != 3 {
-		t.Fatalf("json samples = %+v", samples)
+	if snap := Flatten(fams); len(snap) != 1 || snap.Get("renewals_total", nil) != 3 {
+		t.Fatalf("export samples = %v", snap)
 	}
 
 	body, _ = get("/healthz")
@@ -87,7 +84,7 @@ func TestHandlerOptsEndpoints(t *testing.T) {
 	tr.Start("beta").End(nil)
 
 	var ready atomic.Bool
-	srv := httptest.NewServer(HandlerOpts(reg, tr, HandlerOptions{
+	srv := httptest.NewServer(Handler(reg, tr, HandlerOptions{
 		Ready: ready.Load,
 		Audit: http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 			io.WriteString(w, "audit-dump")
@@ -144,7 +141,7 @@ func TestHandlerOptsEndpoints(t *testing.T) {
 	}
 
 	// Without the options the extra endpoints 404 and /readyz is always 200.
-	bare := httptest.NewServer(Handler(reg, tr))
+	bare := httptest.NewServer(Handler(reg, tr, HandlerOptions{}))
 	defer bare.Close()
 	for path, want := range map[string]int{
 		"/readyz":              http.StatusOK,
@@ -162,12 +159,12 @@ func TestHandlerOptsEndpoints(t *testing.T) {
 	}
 }
 
-func TestStartHTTP(t *testing.T) {
+func TestServe(t *testing.T) {
 	reg := NewRegistry()
 	reg.Gauge("up", "Up.").Set(1)
-	srv, err := StartHTTP("127.0.0.1:0", reg, nil)
+	srv, err := Serve("127.0.0.1:0", Handler(reg, nil, HandlerOptions{}))
 	if err != nil {
-		t.Fatalf("StartHTTP: %v", err)
+		t.Fatalf("Serve: %v", err)
 	}
 	defer srv.Close()
 	resp, err := http.Get("http://" + srv.Addr() + "/metrics")

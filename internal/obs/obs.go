@@ -1,7 +1,7 @@
 // Package obs is the repo's unified observability layer: a stdlib-only
 // metrics registry (counters, gauges, histograms, labeled families), a
 // ring-buffer request tracer, and an embeddable HTTP endpoint serving
-// Prometheus-text and JSON expositions.
+// Prometheus-text and export-JSON expositions of one Registry.Export walk.
 //
 // The paper's entire evaluation is counter-driven — SGX transitions, EPC
 // faults, renewals, attestations (Tables 1/5/6, Figures 8/9) — and this
@@ -259,7 +259,7 @@ func (f *family) overflowKey() string {
 	for i := range values {
 		values[i] = OverflowLabel
 	}
-	return labelKey(values)
+	return LabelKey(values)
 }
 
 // setChild unconditionally installs a metric (func metrics re-register on
@@ -322,15 +322,10 @@ func (r *Registry) SetLabelLimit(n int) {
 	r.labelLimit.Store(int64(n))
 }
 
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry the daemons expose.
-func Default() *Registry { return defaultRegistry }
-
 // familyFor returns the named family, creating it on first use. Kind and
 // label schema are fixed by the first registration; later registrations
 // with a different schema get the existing family (the caller's labels are
-// reconciled by labelKey, which drops unknown names).
+// reconciled by LabelKey, which drops unknown names).
 func (r *Registry) familyFor(name, help string, kind Kind, labelNames []string, buckets []float64) *family {
 	r.mu.RLock()
 	f, ok := r.families[name]
@@ -357,10 +352,14 @@ func (r *Registry) familyFor(name, help string, kind Kind, labelNames []string, 
 	return f
 }
 
-// labelKey joins label values into the family's child key. Values must be
-// positional, matching the family's label names.
-func labelKey(values []string) string {
-	return strings.Join(values, "\x1f")
+// labelSep separates positional label values in a child key.
+const labelSep = "\x1f"
+
+// LabelKey joins positional label values (matching the family's label
+// names) into the key a registry indexes a family's children by. The fleet
+// merger keys merged children the same way.
+func LabelKey(values []string) string {
+	return strings.Join(values, labelSep)
 }
 
 // Counter returns the unlabeled counter of the named family.
@@ -405,7 +404,7 @@ func (r *Registry) registerFunc(name, help string, kind Kind, labels map[string]
 		values[i] = labels[k]
 	}
 	f := r.familyFor(name, help, kind, names, nil)
-	f.setChild(labelKey(values), funcMetric{fn: fn})
+	f.setChild(LabelKey(values), funcMetric{fn: fn})
 }
 
 // CounterVec is a counter family with labels.
@@ -422,7 +421,7 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 	if v == nil {
 		return nil
 	}
-	return v.f.child(labelKey(labelValues), func() any { return new(Counter) }).(*Counter)
+	return v.f.child(LabelKey(labelValues), func() any { return new(Counter) }).(*Counter)
 }
 
 // GaugeVec is a gauge family with labels.
@@ -439,7 +438,7 @@ func (v *GaugeVec) With(labelValues ...string) *Gauge {
 	if v == nil {
 		return nil
 	}
-	return v.f.child(labelKey(labelValues), func() any { return new(Gauge) }).(*Gauge)
+	return v.f.child(LabelKey(labelValues), func() any { return new(Gauge) }).(*Gauge)
 }
 
 // HistogramVec is a histogram family with labels.
@@ -457,7 +456,7 @@ func (v *HistogramVec) With(labelValues ...string) *Histogram {
 	if v == nil {
 		return nil
 	}
-	return v.f.child(labelKey(labelValues), func() any { return newHistogram(v.f.buckets) }).(*Histogram)
+	return v.f.child(LabelKey(labelValues), func() any { return newHistogram(v.f.buckets) }).(*Histogram)
 }
 
 // sortedFamilies returns families in registration order (stable output).

@@ -227,14 +227,6 @@ func TestSnapshotDeltaAndKey(t *testing.T) {
 	if k := Key("a", map[string]string{"z": "1", "a": "2"}); k != `a{a="2",z="1"}` {
 		t.Fatalf("Key = %q", k)
 	}
-
-	var js strings.Builder
-	if err := delta.WriteJSON(&js); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if !strings.Contains(js.String(), `"ops_total{kind=\"read\"}"`) {
-		t.Fatalf("JSON missing labeled key: %s", js.String())
-	}
 }
 
 func TestFuncMetricReRegisterReplaces(t *testing.T) {

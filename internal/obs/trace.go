@@ -95,11 +95,6 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{buf: make([]Event, capacity)}
 }
 
-var defaultTracer = NewTracer(4096)
-
-// DefaultTracer returns the process-wide tracer the daemons expose.
-func DefaultTracer() *Tracer { return defaultTracer }
-
 // Span is one in-flight operation. Create with Tracer.Start, finish with
 // End. A nil *Span is safe (all ops no-op).
 type Span struct {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/attest"
 	"repro/internal/lease"
@@ -83,6 +84,16 @@ func TestDistributedTraceAcrossTCP(t *testing.T) {
 		t.Fatalf("RequestToken: %v", err)
 	}
 
+	// The server ends a handler span just after writing the reply, so the
+	// client can hold the token before the init and renew spans land.
+	// Wait for both.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		_, init := eventByName(serverTr.Events(), "rpc.init")
+		_, renew := eventByName(serverTr.Events(), "rpc.renew")
+		if init && renew || time.Now().After(deadline) {
+			break
+		}
+	}
 	cEvents, sEvents := clientTr.Events(), serverTr.Events()
 
 	// Client side: sllocal.renew is the root, rpc.renew its child.
@@ -134,8 +145,8 @@ func TestDistributedTraceAcrossTCP(t *testing.T) {
 		name string
 		h    http.Handler
 	}{
-		{"client", obs.Handler(clientReg, clientTr)},
-		{"server", obs.Handler(serverReg, serverTr)},
+		{"client", obs.Handler(clientReg, clientTr, obs.HandlerOptions{})},
+		{"server", obs.Handler(serverReg, serverTr, obs.HandlerOptions{})},
 	} {
 		srv := httptest.NewServer(side.h)
 		resp, err := http.Get(srv.URL + "/trace?trace=" + trace)
