@@ -15,9 +15,9 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/lease"
-	"repro/internal/netsim"
 )
 
 func main() {
@@ -29,9 +29,10 @@ func main() {
 
 func run() error {
 	// A client behind a link that drops 30% of messages.
+	link := chaos.NewLink(0.7, 42)
 	sys, err := core.NewSystem(core.Config{
 		MachineName: "field-laptop",
-		Network:     &netsim.LinkConfig{Reliability: 0.7, Seed: 42},
+		Network:     link,
 	})
 	if err != nil {
 		return err
@@ -64,7 +65,7 @@ func run() error {
 
 	// Total outage: the link goes down. The cached sub-GCL keeps the
 	// application running.
-	sys.Link().SetDown(true)
+	link.SetDown(true)
 	served := 0
 	for i := 0; i < 2000; i++ {
 		if err := app.Execute("analyze", func() error { return nil }); err != nil {
@@ -78,7 +79,7 @@ func run() error {
 	}
 
 	// The link heals; service continues seamlessly with renewals.
-	sys.Link().SetDown(false)
+	link.SetDown(false)
 	for i := 0; i < 500; i++ {
 		if err := app.Execute("analyze", func() error { return nil }); err != nil {
 			return fmt.Errorf("post-outage check %d: %w", i, err)

@@ -10,8 +10,10 @@
 //     fail an fsync, or crash-stop the "process" at the Nth filesystem
 //     operation;
 //   - Conn/Listener wrap net.Conn so the wire protocol sees dropped,
-//     delayed, duplicated, truncated-mid-envelope, or reset traffic,
-//     optionally composed with an internal/netsim reliability model;
+//     delayed, duplicated, truncated-mid-envelope, or reset traffic;
+//   - Link is the seeded stochastic network model (delivery probability
+//     n, partitions), and Link.Wrap puts it in front of an in-process
+//     SL-Remote so SL-Local's requests are lost where they would be lost;
 //   - Schedule turns one PRNG seed into a full operation/fault
 //     interleaving for a swarm of SL-Local clients against one SL-Remote;
 //   - CheckConservation asserts the global license-unit conservation law

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/netsim"
 )
 
 // Connection fault kinds. All match Write calls on wrapped connections.
@@ -75,14 +73,12 @@ type ConnFault struct {
 
 // NetDirector arms and fires connection faults for every connection
 // wrapped with it, sharing one write counter so a seed maps to one global
-// fault position. An optional netsim.Link contributes stochastic drops on
-// top of the armed (deterministic) faults.
+// fault position.
 type NetDirector struct {
 	mu     sync.Mutex
 	writes int64
 	conns  int64
 	armed  []*armedConn
-	link   *netsim.Link
 	trace  []Event
 }
 
@@ -99,16 +95,6 @@ func (d *NetDirector) Arm(f ConnFault) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.armed = append(d.armed, &armedConn{fault: f, remaining: f.After})
-}
-
-// AttachLink adds a netsim reliability model: every write first asks the
-// link whether it survives, and a netsim drop behaves like a Drop fault
-// (recorded in the trace as "link-drop"). The link's seeded RNG keeps the
-// composition deterministic.
-func (d *NetDirector) AttachLink(l *netsim.Link) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.link = l
 }
 
 // Writes returns the shared write counter.
@@ -138,12 +124,6 @@ func (d *NetDirector) decide(conn string) string {
 		d.armed = append(d.armed[:i], d.armed[i+1:]...)
 		d.trace = append(d.trace, Event{Domain: "net", Op: d.writes, Kind: a.fault.Kind, Detail: conn})
 		return a.fault.Kind
-	}
-	if d.link != nil {
-		if _, err := d.link.Send(); err != nil {
-			d.trace = append(d.trace, Event{Domain: "net", Op: d.writes, Kind: "link-drop", Detail: conn})
-			return Drop
-		}
 	}
 	return ""
 }

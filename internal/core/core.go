@@ -22,8 +22,8 @@ import (
 	"sync"
 
 	"repro/internal/attest"
+	"repro/internal/chaos"
 	"repro/internal/lease"
-	"repro/internal/netsim"
 	"repro/internal/sgx"
 	"repro/internal/sllocal"
 	"repro/internal/slmanager"
@@ -44,9 +44,9 @@ type Config struct {
 	// Remote tunes SL-Remote's Algorithm 1 (default: the paper's D=4,
 	// T_H=0.9, β=0.01, τ=10%).
 	Remote slremote.Config
-	// Network, if non-nil, interposes a simulated link between SL-Local
-	// and SL-Remote.
-	Network *netsim.LinkConfig
+	// Network, if non-nil, is the simulated link between SL-Local and
+	// SL-Remote. The caller keeps the pointer to partition it (SetDown).
+	Network *chaos.Link
 }
 
 // System is one client machine running SecureLease plus its (bound)
@@ -57,7 +57,7 @@ type System struct {
 	service  *attest.Service
 	remote   *slremote.Server
 	local    *sllocal.Service
-	link     *netsim.Link
+	link     *chaos.Link
 	state    *sllocal.UntrustedState
 	cfgLocal sllocal.Config
 
@@ -106,17 +106,12 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: SL-Remote: %w", err)
 	}
 
-	var link *netsim.Link
-	if cfg.Network != nil {
-		link = netsim.NewLink(*cfg.Network)
-	}
-
 	sys := &System{
 		machine:  machine,
 		platform: platform,
 		service:  service,
 		remote:   remote,
-		link:     link,
+		link:     cfg.Network,
 		state:    &sllocal.UntrustedState{},
 		cfgLocal: cfg.Local,
 		apps:     make(map[string]*App),
@@ -132,11 +127,14 @@ func NewSystem(cfg Config) (*System, error) {
 // as in New): it installs s.local, which Shutdown/Crash/Running read
 // under the same lock.
 func (s *System) startLocalLocked() error {
+	var remote sllocal.RemoteAPI = s.remote
+	if s.link != nil {
+		remote = s.link.Wrap(s.remote, s.machine)
+	}
 	local, err := sllocal.New(s.cfgLocal, sllocal.Deps{
 		Machine:  s.machine,
 		Platform: s.platform,
-		Remote:   s.remote,
-		Link:     s.link,
+		Remote:   remote,
 		State:    s.state,
 	})
 	if err != nil {
@@ -171,9 +169,6 @@ func (s *System) Local() *sllocal.Service {
 	defer s.mu.Unlock()
 	return s.local
 }
-
-// Link returns the simulated network link (nil if none configured).
-func (s *System) Link() *netsim.Link { return s.link }
 
 // RegisterLicense registers a license with the server.
 func (s *System) RegisterLicense(id string, kind lease.Kind, totalGCL int64) error {

@@ -5,8 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/lease"
-	"repro/internal/netsim"
 	"repro/internal/slmanager"
 )
 
@@ -168,9 +168,8 @@ func TestDenialWithoutLicense(t *testing.T) {
 }
 
 func TestNetworkedSystemSurvivesOutage(t *testing.T) {
-	sys := newSystem(t, Config{
-		Network: &netsim.LinkConfig{Reliability: 1, Seed: 1},
-	})
+	link := chaos.NewLink(1, 1)
+	sys := newSystem(t, Config{Network: link})
 	if err := sys.RegisterLicense("lic", lease.CountBased, 100_000); err != nil {
 		t.Fatalf("RegisterLicense: %v", err)
 	}
@@ -182,7 +181,7 @@ func TestNetworkedSystemSurvivesOutage(t *testing.T) {
 	if err := app.Execute("f", nil); err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	sys.Link().SetDown(true)
+	link.SetDown(true)
 	// Cached sub-GCL keeps the app running offline.
 	for i := 0; i < 100; i++ {
 		if err := app.Execute("f", nil); err != nil {

@@ -177,21 +177,3 @@ func TestFleet(t *testing.T) {
 		t.Fatal("empty fleet accepted")
 	}
 }
-
-func TestFleetDeterministicPerSeed(t *testing.T) {
-	clients := []FleetClient{
-		{Name: "a", Health: 0.8, Reliability: 0.8, Weight: 1},
-		{Name: "b", Health: 0.9, Reliability: 0.9, Weight: 1},
-	}
-	r1, err := Fleet(clients, 4, 20_000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Fleet(clients, 4, 20_000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Crashes != r2.Crashes || r1.ChecksServed != r2.ChecksServed {
-		t.Fatalf("fleet nondeterministic: %+v vs %+v", r1, r2)
-	}
-}

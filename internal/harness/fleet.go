@@ -5,8 +5,8 @@ import (
 	"math/rand"
 
 	"repro/internal/attest"
+	"repro/internal/chaos"
 	"repro/internal/lease"
-	"repro/internal/netsim"
 	"repro/internal/sgx"
 	"repro/internal/sllocal"
 	"repro/internal/slremote"
@@ -64,7 +64,7 @@ func Fleet(clients []FleetClient, epochs int, totalGCL int64, seed int64) (*Flee
 		profile FleetClient
 		machine *sgx.Machine
 		plat    *attest.Platform
-		link    *netsim.Link
+		remote  *chaos.Remote
 		state   *sllocal.UntrustedState
 		svc     *sllocal.Service
 		app     *sgx.Enclave
@@ -73,7 +73,7 @@ func Fleet(clients []FleetClient, epochs int, totalGCL int64, seed int64) (*Flee
 	nodes := make([]*node, len(clients))
 	startNode := func(n *node) error {
 		svc, err := sllocal.New(sllocal.Config{TokenBatch: 10}, sllocal.Deps{
-			Machine: n.machine, Platform: n.plat, Remote: remote, Link: n.link, State: n.state,
+			Machine: n.machine, Platform: n.plat, Remote: n.remote, State: n.state,
 		})
 		if err != nil {
 			return err
@@ -98,7 +98,7 @@ func Fleet(clients []FleetClient, epochs int, totalGCL int64, seed int64) (*Flee
 			profile: c,
 			machine: m,
 			plat:    plat,
-			link:    netsim.NewLink(netsim.LinkConfig{Reliability: c.Reliability, Seed: seed + int64(i)}),
+			remote:  chaos.NewLink(c.Reliability, seed+int64(i)).Wrap(remote, m),
 			state:   &sllocal.UntrustedState{},
 		}
 		if err := startNode(n); err != nil {

@@ -13,9 +13,9 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/attest"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/lease"
-	"repro/internal/netsim"
 	"repro/internal/partition"
 	"repro/internal/ratls"
 	"repro/internal/sgx"
@@ -31,7 +31,7 @@ import (
 func TestFlakyNetworkRenewalsEventuallySucceed(t *testing.T) {
 	sys, err := core.NewSystem(core.Config{
 		MachineName: "flaky",
-		Network:     &netsim.LinkConfig{Reliability: 0.6, Seed: 99},
+		Network:     chaos.NewLink(0.6, 99),
 	})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)

@@ -18,6 +18,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -323,20 +324,21 @@ func (r *Registry) SetLabelLimit(n int) {
 }
 
 // familyFor returns the named family, creating it on first use. Kind and
-// label schema are fixed by the first registration; later registrations
-// with a different schema get the existing family (the caller's labels are
-// reconciled by LabelKey, which drops unknown names).
+// label names are fixed by the first registration; a later registration
+// with the same schema gets the existing family, and one with a different
+// schema panics — its children's label values would not line up with the
+// family's label names, a programmer error best caught at start-up.
 func (r *Registry) familyFor(name, help string, kind Kind, labelNames []string, buckets []float64) *family {
 	r.mu.RLock()
 	f, ok := r.families[name]
 	r.mu.RUnlock()
 	if ok {
-		return f
+		return f.sameSchema(kind, labelNames)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
-		return f
+		return f.sameSchema(kind, labelNames)
 	}
 	f = &family{
 		name:       name,
@@ -349,6 +351,16 @@ func (r *Registry) familyFor(name, help string, kind Kind, labelNames []string, 
 	}
 	r.families[name] = f
 	r.order = append(r.order, name)
+	return f
+}
+
+// sameSchema returns f if a registration of kind with labelNames matches
+// it, and panics naming both schemas otherwise.
+func (f *family) sameSchema(kind Kind, labelNames []string) *family {
+	if kind != f.kind || !slices.Equal(labelNames, f.labelNames) {
+		panic(fmt.Sprintf("obs: metric %q registered as %v{%s}, re-registered as %v{%s}",
+			f.name, f.kind, strings.Join(f.labelNames, ","), kind, strings.Join(labelNames, ",")))
+	}
 	return f
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -236,5 +237,56 @@ func TestFuncMetricReRegisterReplaces(t *testing.T) {
 	reg.GaugeFunc("v", "help", lbl, func() float64 { return 2 })
 	if got := reg.Snapshot().Get("v", lbl); got != 2 {
 		t.Fatalf("func metric = %v, want the replacement's 2", got)
+	}
+}
+
+// TestReRegisterSchemaMismatchPanics: a family's kind and label names are
+// fixed by its first registration. Re-registering under the same schema
+// reuses the family (a restarted component re-exposing itself); a
+// different schema panics with the name and both schemas instead of
+// adding children whose values do not line up with the label names.
+func TestReRegisterSchemaMismatchPanics(t *testing.T) {
+	m := map[string]string{"machine": "m"}
+	ms := map[string]string{"machine": "m", "shard": "1"}
+	one := func() float64 { return 1 }
+	for _, tc := range []struct {
+		name   string
+		first  func(*Registry)
+		second func(*Registry)
+		panic  string // "" = no panic
+	}{
+		{"counter to gauge",
+			func(r *Registry) { r.CounterFunc("x", "h", m, one) },
+			func(r *Registry) { r.GaugeFunc("x", "h", m, one) },
+			`obs: metric "x" registered as counter{machine}, re-registered as gauge{machine}`},
+		{"{machine} to {machine,shard}",
+			func(r *Registry) { r.GaugeFunc("x", "h", m, one) },
+			func(r *Registry) { r.GaugeFunc("x", "h", ms, one) },
+			`obs: metric "x" registered as gauge{machine}, re-registered as gauge{machine,shard}`},
+		{"same func schema",
+			func(r *Registry) { r.GaugeFunc("x", "h", ms, one) },
+			func(r *Registry) { r.GaugeFunc("x", "h", ms, one) },
+			""},
+		{"same vec schema",
+			func(r *Registry) { r.CounterVec("x", "h", "machine").With("m").Inc() },
+			func(r *Registry) { r.CounterVec("x", "h", "machine").With("m").Inc() },
+			""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry()
+			tc.first(reg)
+			var got string
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						got = fmt.Sprint(p)
+					}
+				}()
+				tc.second(reg)
+			}()
+			if got != tc.panic {
+				t.Fatalf("re-registration panic = %q, want %q", got, tc.panic)
+			}
+		})
 	}
 }

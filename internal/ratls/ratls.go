@@ -233,7 +233,7 @@ func NewProvisioned(name string, m *sgx.Machine, secret, codeIdentity []byte, tr
 
 // Insecure returns a Config that performs no TLS and no attestation:
 // connections pass through as plaintext. It exists as an explicit escape
-// hatch for netsim and benchmark paths; daemons only use it behind an
+// hatch for tests and benchmark paths; daemons only use it behind an
 // -insecure flag.
 func Insecure() *Config {
 	return &Config{insecure: true}
@@ -337,7 +337,7 @@ func (c *Conn) PeerMeasurement() (sgx.Measurement, error) {
 }
 
 // InsecureConn marks a connection the operator explicitly opted out of
-// attestation for (netsim, benchmarks, -insecure daemons). It exists as
+// attestation for (tests, benchmarks, -insecure daemons). It exists as
 // a distinct type so the sanitizer gate in SealForChannel — and the
 // secretflow analyzer behind it — can tell "deliberately insecure" from
 // "forgot to wrap".

@@ -23,7 +23,6 @@ import (
 	"repro/internal/attest"
 	"repro/internal/lease"
 	"repro/internal/leasetree"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/seccrypto"
 	"repro/internal/sgx"
@@ -104,6 +103,8 @@ type UntrustedState struct {
 // RemoteAPI is the slice of SL-Remote that SL-Local depends on. It is
 // satisfied by *slremote.Server directly and by the wire package's TCP
 // client, so the same Service runs embedded or against a remote daemon.
+// The network between the two is the remote's concern: over TCP it is
+// real, and in process chaos.Link.Wrap models it.
 type RemoteAPI interface {
 	// InitClient performs the init() handshake: quote verification, SLID
 	// assignment, and escrowed-root-key release.
@@ -134,9 +135,6 @@ type Deps struct {
 	// Remote is the license server: an embedded *slremote.Server or the
 	// wire package's TCP client.
 	Remote RemoteAPI
-	// Link, if non-nil, models the network to SL-Remote; its latency is
-	// charged to the machine clock and drops surface as renewal errors.
-	Link *netsim.Link
 	// State is the persistent untrusted state; nil means a fresh machine.
 	State *UntrustedState
 }
@@ -253,10 +251,6 @@ func (s *Service) Init() error {
 	var slid string
 	if s.deps.State != nil {
 		slid = s.deps.State.SLID
-	}
-	if err := s.chargeNetworkLocked(); err != nil {
-		enclave.Destroy()
-		return fmt.Errorf("sllocal: init unreachable: %w", err)
 	}
 	span := s.tracerLoad().Start("sllocal.init")
 	span.Annotate("machine", s.deps.Machine.Name())
@@ -466,10 +460,6 @@ func (s *Service) mintToken(id lease.ID, licenseID string, grants int) lease.Tok
 // the server-side validation of SL-Local (remote attestation, charged by
 // InitClient/RenewLease paths in slremote), reported in stats.
 func (s *Service) renewLocked(licenseID string) (slremote.Grant, error) {
-	if err := s.chargeNetworkLocked(); err != nil {
-		s.stats.RenewalFailures++
-		return slremote.Grant{}, fmt.Errorf("%w: network: %v", ErrLeaseDenied, err)
-	}
 	// Each renewal re-validates SL-Local with SL-Remote (step ❸ of the
 	// workflow): one remote attestation on this machine's timeline.
 	s.deps.Machine.ChargeRemoteAttestation()
@@ -494,16 +484,6 @@ func (s *Service) renewLocked(licenseID string) (slremote.Grant, error) {
 	}
 	s.stats.Renewals++
 	return grant, nil
-}
-
-// chargeNetworkLocked models one round trip to SL-Remote.
-func (s *Service) chargeNetworkLocked() error {
-	if s.deps.Link == nil {
-		return nil
-	}
-	d, err := s.deps.Link.SendWithRetry(3, 200*time.Millisecond)
-	s.deps.Machine.ChargeCompute(s.deps.Machine.Model().DurationToCycles(2 * d))
-	return err
 }
 
 // allocIDLocked hands out lease IDs with per-application spatial locality.
@@ -541,9 +521,6 @@ func (s *Service) Shutdown() error {
 	snap, rootKey, err := s.tree.Shutdown()
 	if err != nil {
 		return fmt.Errorf("sllocal: committing tree: %w", err)
-	}
-	if err := s.chargeNetworkLocked(); err != nil {
-		return fmt.Errorf("sllocal: escrow unreachable: %w", err)
 	}
 	span := s.tracerLoad().Start("sllocal.escrow")
 	span.Annotate("slid", s.slid)

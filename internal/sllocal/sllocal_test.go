@@ -7,8 +7,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/attest"
+	"repro/internal/chaos"
 	"repro/internal/lease"
-	"repro/internal/netsim"
 	"repro/internal/sgx"
 	"repro/internal/slremote"
 )
@@ -341,9 +341,9 @@ func TestReplayedSnapshotRejected(t *testing.T) {
 }
 
 func TestNetworkOutageDeniesRenewalButServesCache(t *testing.T) {
-	link := netsim.NewLink(netsim.LinkConfig{Reliability: 1, Seed: 1})
+	link := chaos.NewLink(1, 1)
 	env := newEnv(t, Config{TokenBatch: 1}, map[string]int64{"lic": 10_000})
-	env.svc.deps.Link = link
+	env.svc.deps.Remote = link.Wrap(env.remote, env.machine)
 	if err := env.svc.Init(); err != nil {
 		t.Fatalf("Init: %v", err)
 	}

@@ -150,17 +150,11 @@ func TestClientRedirectRetiresOldConn(t *testing.T) {
 	if r.info.ID != "slow" || r.info.TotalGCL != 321 {
 		t.Fatalf("in-flight RPC got %+v, want the stale server's slow license", r.info)
 	}
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+	waitFor(t, "the retired connection to close after its last reply", func() bool {
 		old.mu.Lock()
-		closed := old.closed
-		old.mu.Unlock()
-		if closed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("retired connection still open after its last reply")
-		}
-	}
+		defer old.mu.Unlock()
+		return old.closed
+	})
 }
 
 // TestClientEscrowAfterRedirect: once a redirect moved the client, an

@@ -49,19 +49,13 @@ func TestWireMetricsEndToEnd(t *testing.T) {
 	// The server records an RPC's metrics and ends its span just after
 	// writing the reply, so the client can read a reply before either
 	// lands. Wait for the three spans before reading the metrics.
-	names := make(map[string]int)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		clear(names)
+	waitFor(t, "two register_license spans and one license_info span", func() bool {
+		names := make(map[string]int)
 		for _, ev := range tr.Events() {
 			names[ev.Name]++
 		}
-		if names["rpc."+TypeRegisterLicense] == 2 && names["rpc."+TypeLicenseInfo] == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("trace spans = %v", names)
-		}
-	}
+		return names["rpc."+TypeRegisterLicense] == 2 && names["rpc."+TypeLicenseInfo] == 1
+	})
 
 	snap := reg.Snapshot()
 	reglbl := map[string]string{"type": TypeRegisterLicense}

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/attest"
 	"repro/internal/lease"
@@ -87,13 +86,11 @@ func TestDistributedTraceAcrossTCP(t *testing.T) {
 	// The server ends a handler span just after writing the reply, so the
 	// client can hold the token before the init and renew spans land.
 	// Wait for both.
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+	waitFor(t, "the server's rpc.init and rpc.renew spans", func() bool {
 		_, init := eventByName(serverTr.Events(), "rpc.init")
 		_, renew := eventByName(serverTr.Events(), "rpc.renew")
-		if init && renew || time.Now().After(deadline) {
-			break
-		}
-	}
+		return init && renew
+	})
 	cEvents, sEvents := clientTr.Events(), serverTr.Events()
 
 	// Client side: sllocal.renew is the root, rpc.renew its child.

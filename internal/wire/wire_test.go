@@ -6,6 +6,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/attest"
 	"repro/internal/lease"
@@ -89,6 +90,17 @@ func listen(t *testing.T) net.Listener {
 		t.Fatalf("Listen: %v", err)
 	}
 	return ln
+}
+
+// waitFor polls cond until it holds, failing the test with what it waited
+// for if 5 s pass first.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
 }
 
 // serveDeployment serves a fresh SL-Remote on ln behind gate (nil: it
