@@ -110,8 +110,8 @@ func escrowed(t *testing.T, n *cluster.Node, d *daemon) {
 		}
 		for slid, c := range st.Clients {
 			if c.HasEscrow {
-				if c.Crashed || st.Stats.CrashForfeits != 0 {
-					t.Errorf("client %s escrowed but crashed=%v, crash forfeits %d", slid, c.Crashed, st.Stats.CrashForfeits)
+				if st.Stats.CrashForfeits != 0 {
+					t.Errorf("client %s escrowed but crash forfeits %d", slid, st.Stats.CrashForfeits)
 				}
 				return
 			}

@@ -10,18 +10,21 @@ const (
 	// that previously crashed re-initializes first — exercising the
 	// pessimistic forfeit of Section 5.7.
 	OpToken = "token"
-	// OpConsume reports spent units to the server (the conservation
-	// ledger's consumed column).
+	// OpConsume reports spent units straight to the server, in process
+	// (the conservation ledger's consumed column). It always appends to
+	// the server's WAL, so the torn-write fault rides on it.
 	OpConsume = "consume"
-	// OpProfile nudges a client's Algorithm 1 inputs (h_i, n_i, α_i).
+	// OpProfile nudges a client's Algorithm 1 inputs (h_i, n_i, α_i) on
+	// the server, in process.
 	OpProfile = "profile"
 	// OpClientRestart shuts a client down gracefully (escrowing its root
 	// key) and re-initializes it, which must release the escrow exactly
-	// once.
+	// once. Both calls cross the wire, so the connection-cut fault rides
+	// on it.
 	OpClientRestart = "client-restart"
-	// OpClientCrash destroys a client's enclave with nothing escrowed and
-	// reports the crash; every unit it held must move to the license's
-	// Lost column.
+	// OpClientCrash destroys a client's enclave with nothing escrowed.
+	// Nothing reports it: the client's next init finds no escrowed key,
+	// and every unit it held moves to the license's Lost column there.
 	OpClientCrash = "client-crash"
 	// OpServerRestart kills the SL-Remote (no final snapshot) and
 	// recovers it from the state directory — through the same chaos.FS
@@ -72,8 +75,8 @@ const (
 // client crashes/restarts and server restarts, plus three structurally
 // placed faults every seed is guaranteed to include — a torn WAL write
 // (with the server restart that must recover from it), a mid-envelope
-// connection cut, and a client crash. Inputs below the minimums are
-// raised to them.
+// connection cut on a client restart, and a client crash. Inputs below
+// the minimums are raised to them.
 func NewSchedule(seed int64, clients, steps int) *Schedule {
 	if clients < minClients {
 		clients = minClients
@@ -86,7 +89,9 @@ func NewSchedule(seed int64, clients, steps int) *Schedule {
 
 	// Client 0 is the anchor: it is never crashed or restarted, so a
 	// consume report on it always reaches the WAL — the guaranteed append
-	// the torn-write fault needs in order to fire.
+	// the torn-write fault needs in order to fire. Client 1's restart
+	// always writes on the wire (escrow, then init, or init alone when it
+	// is down) — the guaranteed frame the cut needs.
 	tornAt := steps / 4
 	cutAt := steps / 2
 	crashAt := 3 * steps / 4
@@ -103,8 +108,7 @@ func NewSchedule(seed int64, clients, steps int) *Schedule {
 		case i == tornAt+1:
 			st = Step{Op: OpServerRestart, Client: -1}
 		case i == cutAt:
-			st = Step{Op: OpConsume, Client: 0, Units: 1 + rng.Int63n(3),
-				NetFaults: []ConnFault{{Kind: Cut}}}
+			st = Step{Op: OpClientRestart, Client: 1, NetFaults: []ConnFault{{Kind: Cut}}}
 		case i == crashAt:
 			st = Step{Op: OpClientCrash, Client: 1}
 		case i > 0 && i%quiesceEvery == 0:

@@ -31,6 +31,24 @@ import (
 // sequence.
 var chaosSeed = flag.Int64("chaos.seed", 1, "seed for TestChaosSwarm's deterministic fault schedule")
 
+// swarmRow is one configuration of TestChaosSwarm.
+type swarmRow struct {
+	name string
+	// lanes drives the schedule's clients concurrently: between global
+	// barriers (server restarts and quiesce points) every client runs its
+	// own steps in order on its own goroutine, and every client shares
+	// one chaosDialer, so SL-Local's RPCs pipeline on one connection.
+	lanes bool
+	// attested upgrades every connection to the RA-TLS channel, so faults
+	// land on TLS records and handshake flights.
+	attested bool
+	// replay runs the seed twice and requires identical fault traces.
+	// Only the sequential row can promise that: lanes complete in
+	// concurrent order, and TLS adds timing-dependent writes (session
+	// tickets, alerts) that shift fault positions.
+	replay bool
+}
+
 const (
 	swarmClients   = 4
 	swarmSteps     = 220
@@ -43,8 +61,8 @@ const (
 // closes the connection so the next call redials — the real SL-Local
 // daemon's retry posture, minus retries, which the deterministic schedule
 // cannot afford (an op either lands or is charged as a denial). It is safe
-// for concurrent use: the pipelined swarm shares the admin dialer across
-// client goroutines, so many calls ride one wire connection at once.
+// for concurrent use: the lanes row shares one dialer across every client
+// goroutine, so many calls ride one wire connection at once.
 type chaosDialer struct {
 	h  *swarmHarness
 	rc *ratls.Config
@@ -122,32 +140,14 @@ func (d *chaosDialer) EscrowRootKey(slid string, key seccrypto.Key) error {
 	return err
 }
 
-func (d *chaosDialer) ConsumeReport(slid, licenseID string, units int64) error {
+// licenseInfo is the read-only lookup the attested row's corrupt-record
+// probe sends.
+func (d *chaosDialer) licenseInfo(id string) error {
 	c, err := d.client()
 	if err != nil {
 		return err
 	}
-	err = c.ConsumeReport(slid, licenseID, units)
-	d.after(c, err)
-	return err
-}
-
-func (d *chaosDialer) ReportCrash(slid string) error {
-	c, err := d.client()
-	if err != nil {
-		return err
-	}
-	err = c.ReportCrash(slid)
-	d.after(c, err)
-	return err
-}
-
-func (d *chaosDialer) SetProfile(slid string, health, reliability, weight float64) error {
-	c, err := d.client()
-	if err != nil {
-		return err
-	}
-	err = c.SetProfile(slid, health, reliability, weight)
+	_, err = c.LicenseInfo(id)
 	d.after(c, err)
 	return err
 }
@@ -174,6 +174,7 @@ type swarmClient struct {
 type swarmHarness struct {
 	t        *testing.T
 	seed     int64
+	row      swarmRow
 	licenses []string
 
 	fsys     *chaos.FS
@@ -194,7 +195,6 @@ type swarmHarness struct {
 	addr   string
 	done   chan struct{}
 
-	admin   *chaosDialer
 	clients []*swarmClient
 
 	crashes atomic.Int64
@@ -203,8 +203,8 @@ type swarmHarness struct {
 
 func (h *swarmHarness) fatalf(format string, args ...any) {
 	h.t.Helper()
-	h.t.Fatalf("chaos swarm seed %d (replay: go test -run TestChaosSwarm ./internal/integration -chaos.seed=%d): %s",
-		h.seed, h.seed, fmt.Sprintf(format, args...))
+	h.t.Fatalf("chaos swarm %s seed %d (replay: go test -run 'TestChaosSwarm/%s$' ./internal/integration -chaos.seed=%d): %s",
+		h.row.name, h.seed, h.row.name, h.seed, fmt.Sprintf(format, args...))
 }
 
 // boot opens (or re-opens) the durable SL-Remote: audit log on the real
@@ -279,7 +279,6 @@ func (h *swarmHarness) restartServer(step int) {
 	}
 	// Every open connection points at the dead listener; drop them so the
 	// next call redials, in a fixed order to keep conn naming stable.
-	h.admin.reset()
 	for _, c := range h.clients {
 		c.conn.reset()
 	}
@@ -311,17 +310,14 @@ func (h *swarmHarness) ensureClient(c *swarmClient) error {
 }
 
 // crashClient destroys the client's enclave with nothing escrowed and
-// reports the crash (best effort: the report itself can be eaten by a net
-// fault, in which case the next init applies the pessimistic forfeit).
+// drops its connection. Nothing tells the server: the client's next init
+// finds no escrowed key and applies the pessimistic forfeit.
 func (h *swarmHarness) crashClient(c *swarmClient) {
 	if c.svc != nil {
 		c.svc.Crash()
 		c.svc = nil
 	}
 	c.conn.reset()
-	if c.slid != "" {
-		_ = h.admin.ReportCrash(c.slid)
-	}
 	h.crashes.Add(1)
 }
 
@@ -364,7 +360,7 @@ func (h *swarmHarness) runStep(i int, st chaos.Step) {
 			h.denials.Add(1)
 			return
 		}
-		if err := h.admin.ConsumeReport(c.slid, lic, st.Units); err != nil {
+		if err := h.remote.ConsumeReport(c.slid, lic, st.Units); err != nil {
 			h.denials.Add(1)
 		}
 	case chaos.OpProfile:
@@ -373,7 +369,7 @@ func (h *swarmHarness) runStep(i int, st chaos.Step) {
 			h.denials.Add(1)
 			return
 		}
-		_ = h.admin.SetProfile(c.slid, st.Health, st.Reliability, st.Weight)
+		_ = h.remote.SetClientProfile(c.slid, st.Health, st.Reliability, st.Weight)
 	case chaos.OpClientRestart:
 		c := h.clients[st.Client]
 		if c.svc != nil {
@@ -425,7 +421,7 @@ func (h *swarmHarness) channelOn(m *sgx.Machine, plat *attest.Platform, name str
 }
 
 // newChannel is channelOn plus a fresh machine and registered platform,
-// for endpoints (server, admin) that have no swarm machine of their own.
+// for the server, which has no swarm machine of its own.
 func (h *swarmHarness) newChannel(name string) *ratls.Config {
 	h.t.Helper()
 	m, err := sgx.NewMachine(sgx.MachineConfig{Name: name, EPCBytes: 1 << 20})
@@ -442,13 +438,16 @@ func (h *swarmHarness) newChannel(name string) *ratls.Config {
 
 // newSwarm builds a fully booted swarm: durable SL-Remote behind the chaos
 // listener, licenses registered, every client machine attested and wired
-// through its own chaosDialer. With attested set, every connection is an
-// ratls channel (and the mid-handshake fault probes run before return).
-func newSwarm(t *testing.T, seed int64, attested bool) *swarmHarness {
+// through its own chaosDialer (one shared dialer in the lanes row). In the
+// attested row every connection is an ratls channel, and the
+// mid-handshake and mid-record fault probes run before return.
+func newSwarm(t *testing.T, seed int64, row swarmRow) *swarmHarness {
 	t.Helper()
+	attested := row.attested
 	h := &swarmHarness{
 		t:        t,
 		seed:     seed,
+		row:      row,
 		licenses: []string{"lic-a", "lic-b"},
 		fsys:     chaos.NewFS(nil),
 		net:      chaos.NewNetDirector(),
@@ -471,11 +470,10 @@ func newSwarm(t *testing.T, seed int64, attested bool) *swarmHarness {
 	if err := h.remote.RegisterLicense("lic-b", lease.CountBased, 3000); err != nil {
 		h.fatalf("RegisterLicense: %v", err)
 	}
-	h.admin = &chaosDialer{h: h, rc: ratls.Insecure()}
-	if attested {
-		h.admin.rc = h.newChannel("swarm-admin")
+	var shared *chaosDialer
+	if row.lanes {
+		shared = &chaosDialer{h: h, rc: ratls.Insecure()}
 	}
-
 	for i := 0; i < swarmClients; i++ {
 		m, err := sgx.NewMachine(sgx.MachineConfig{Name: fmt.Sprintf("swarm-%d", i), EPCBytes: 8 << 20})
 		if err != nil {
@@ -496,14 +494,17 @@ func newSwarm(t *testing.T, seed int64, attested bool) *swarmHarness {
 		if err != nil {
 			h.fatalf("app %d: %v", i, err)
 		}
-		cliRC := ratls.Insecure()
+		conn := shared
+		if conn == nil {
+			conn = &chaosDialer{h: h, rc: ratls.Insecure()}
+		}
 		if attested {
-			cliRC = h.channelOn(m, plat, fmt.Sprintf("swarm-%d", i))
+			conn.rc = h.channelOn(m, plat, fmt.Sprintf("swarm-%d", i))
 		}
 		h.clients = append(h.clients, &swarmClient{
 			idx: i, m: m, plat: plat, app: app,
 			state: &sllocal.UntrustedState{},
-			conn:  &chaosDialer{h: h, rc: cliRC},
+			conn:  conn,
 		})
 	}
 
@@ -519,15 +520,16 @@ func newSwarm(t *testing.T, seed int64, attested bool) *swarmHarness {
 		if st := h.clients[0].conn.rc.Stats(); st.HandshakeFailures == 0 || st.ColdHandshakes == 0 {
 			h.fatalf("mid-handshake reset not reflected in channel stats: %+v", st)
 		}
-		// Mid-record fault: one TLS record to the admin is corrupted, so
+		// Mid-record fault: one TLS record to client 0 is corrupted, so
 		// its MAC fails. The error must surface as a transport failure
 		// (poisoning only that connection), never a panic or a decoded
 		// phantom reply.
-		if err := h.admin.SetProfile(h.clients[0].slid, 0.9, 0.9, 1.0); err != nil {
-			h.fatalf("admin warm-up SetProfile: %v", err)
+		probe := h.clients[0].conn
+		if err := probe.licenseInfo(h.licenses[0]); err != nil {
+			h.fatalf("warm-up license_info: %v", err)
 		}
 		h.net.Arm(chaos.ConnFault{Kind: chaos.Corrupt})
-		err := h.admin.SetProfile(h.clients[0].slid, 0.9, 0.9, 1.0)
+		err := probe.licenseInfo(h.licenses[0])
 		if err == nil {
 			h.fatalf("corrupted TLS record decoded as a valid reply")
 		}
@@ -538,112 +540,23 @@ func newSwarm(t *testing.T, seed int64, attested bool) *swarmHarness {
 	return h
 }
 
-// runSwarm executes one full seeded swarm sequentially and returns the
-// combined fault trace (filesystem events, then network events).
-func runSwarm(t *testing.T, seed int64, attested bool) []chaos.Event {
+// runSwarm executes one full seeded swarm in the row's configuration and
+// returns the combined fault trace (filesystem events, then network
+// events).
+func runSwarm(t *testing.T, seed int64, row swarmRow) []chaos.Event {
 	t.Helper()
-	h := newSwarm(t, seed, attested)
+	h := newSwarm(t, seed, row)
 	sched := chaos.NewSchedule(seed, swarmClients, swarmSteps)
-	for i, st := range sched.Steps {
-		h.runStep(i, st)
-	}
-	return h.finish(len(sched.Steps), attested)
-}
-
-// finish runs the end-of-swarm accounting — invariants hold, the required
-// faults fired, the swarm really was a swarm — then kills the server and
-// returns the fault trace.
-func (h *swarmHarness) finish(steps int, attested bool) []chaos.Event {
-	h.t.Helper()
-	t := h.t
-	h.quiesce(steps)
-	trace := append(h.fsys.Trace(), h.net.Trace()...)
-	var torn, cut int
-	for _, ev := range trace {
-		switch ev.Kind {
-		case chaos.TornWrite:
-			torn++
-		case chaos.Cut:
-			cut++
+	if !row.lanes {
+		for i, st := range sched.Steps {
+			h.runStep(i, st)
 		}
+		return h.finish(len(sched.Steps))
 	}
-	if torn == 0 {
-		h.fatalf("no torn WAL write fired (trace: %v)", trace)
-	}
-	if cut == 0 {
-		h.fatalf("no mid-envelope connection cut fired (trace: %v)", trace)
-	}
-	if h.crashes.Load() == 0 {
-		h.fatalf("no client crash executed")
-	}
-	if h.aud.Len() == 0 {
-		h.fatalf("empty audit chain after %d steps", steps)
-	}
-	if attested {
-		st := h.srvRC.Stats()
-		if st.ColdHandshakes == 0 || st.QuoteVerifications == 0 {
-			h.fatalf("attested swarm performed no quote-verified handshakes: %+v", st)
-		}
-		// The structural server restart resets every connection, and the
-		// ticket keys survive in srvRC — so at least one reconnect must
-		// have resumed, and resumption must have skipped re-attestation.
-		if st.ResumedHandshakes == 0 {
-			h.fatalf("no resumed handshake across reconnects: %+v", st)
-		}
-		if st.QuoteVerifications >= st.ColdHandshakes+st.ResumedHandshakes {
-			h.fatalf("resumed handshakes did not skip quote verification: %+v", st)
-		}
-		if st.HandshakeFailures == 0 {
-			h.fatalf("chaos faults produced no counted handshake failure: %+v", st)
-		}
-		t.Logf("attested channel: %+v", st)
-	}
-	t.Logf("chaos swarm seed %d: %d steps, %d denials, %d client crashes, %d fault events",
-		h.seed, steps, h.denials.Load(), h.crashes.Load(), len(trace))
-
-	h.kill()
-	return trace
-}
-
-// TestChaosSwarm drives a swarm of SL-Local clients through a seeded
-// schedule of renewals, consume reports, profile changes, crashes, and
-// server restarts while injected faults tear WAL frames, cut connections
-// mid-envelope, and fail fsyncs — asserting at every quiesce point that
-// license units are conserved, the audit chain verifies, and recovery
-// reproduces the exact pre-kill ledger. The same seed must produce the
-// identical fault trace: the second run replays the first.
-func TestChaosSwarm(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos swarm takes seconds of injected stalls")
-	}
-	seed := *chaosSeed
-	tr1 := runSwarm(t, seed, false)
-	tr2 := runSwarm(t, seed, false)
-	if !reflect.DeepEqual(tr1, tr2) {
-		t.Fatalf("seed %d is not reproducible: fault traces differ\nrun 1: %v\nrun 2: %v", seed, tr1, tr2)
-	}
-}
-
-// TestChaosSwarmPipelined runs the seeded swarm with the schedule's
-// clients driven concurrently: between global barriers (server restarts
-// and quiesce points) every client executes its own steps in order on its
-// own goroutine, while admin traffic (consume reports, profile changes,
-// crash reports) from all of them shares ONE dialer — so many requests
-// pipeline on a single wire connection under live chaos faults. The same
-// conservation, audit, and fault-coverage assertions as the sequential
-// swarm must hold; trace identity is not asserted (completion order is
-// concurrent by design). Run under -race in CI.
-func TestChaosSwarmPipelined(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos swarm takes seconds of injected stalls")
-	}
-	seed := *chaosSeed
-	h := newSwarm(t, seed, false)
-	sched := chaos.NewSchedule(seed, swarmClients, swarmSteps)
 
 	// peak tracks the most steps ever in flight at once: if it never
-	// reaches 2, the "pipelined" swarm silently degenerated to lock-step
-	// and the test is not testing what it claims.
+	// reaches 2, the lanes row silently degenerated to lock-step and is
+	// not testing what it claims.
 	var inFlight, peak atomic.Int64
 	runWindow := func(lo, hi int) {
 		if lo >= hi {
@@ -693,21 +606,98 @@ func TestChaosSwarmPipelined(t *testing.T) {
 	runWindow(start, len(sched.Steps))
 
 	if got := peak.Load(); got < 2 {
-		t.Fatalf("peak in-flight steps = %d, want >= 2 (swarm ran lock-step)", got)
+		h.fatalf("peak in-flight steps = %d, want >= 2 (swarm ran lock-step)", got)
 	}
-	h.finish(len(sched.Steps), false)
+	return h.finish(len(sched.Steps))
 }
 
-// TestChaosSwarmAttested runs the same seeded swarm with every connection
-// upgraded to the attested ratls channel. The chaos faults now land on TLS
-// records and handshake flights instead of plaintext envelopes; the run
-// must still conserve license units and keep the audit chain intact, with
-// handshake failures counted and absorbed by the dial retry — never a
-// panic. Trace identity is not asserted: TLS adds timing-dependent writes
-// (session tickets, alerts) that shift fault positions between runs.
-func TestChaosSwarmAttested(t *testing.T) {
+// finish runs the end-of-swarm accounting — invariants hold, the required
+// faults fired, the swarm really was a swarm — then kills the server and
+// returns the fault trace.
+func (h *swarmHarness) finish(steps int) []chaos.Event {
+	h.t.Helper()
+	t := h.t
+	h.quiesce(steps)
+	trace := append(h.fsys.Trace(), h.net.Trace()...)
+	var torn, cut int
+	for _, ev := range trace {
+		switch ev.Kind {
+		case chaos.TornWrite:
+			torn++
+		case chaos.Cut:
+			cut++
+		}
+	}
+	if torn == 0 {
+		h.fatalf("no torn WAL write fired (trace: %v)", trace)
+	}
+	if cut == 0 {
+		h.fatalf("no mid-envelope connection cut fired (trace: %v)", trace)
+	}
+	if h.crashes.Load() == 0 {
+		h.fatalf("no client crash executed")
+	}
+	if h.aud.Len() == 0 {
+		h.fatalf("empty audit chain after %d steps", steps)
+	}
+	if h.row.attested {
+		st := h.srvRC.Stats()
+		if st.ColdHandshakes == 0 || st.QuoteVerifications == 0 {
+			h.fatalf("attested swarm performed no quote-verified handshakes: %+v", st)
+		}
+		// The structural server restart resets every connection, and the
+		// ticket keys survive in srvRC — so at least one reconnect must
+		// have resumed, and resumption must have skipped re-attestation.
+		if st.ResumedHandshakes == 0 {
+			h.fatalf("no resumed handshake across reconnects: %+v", st)
+		}
+		if st.QuoteVerifications >= st.ColdHandshakes+st.ResumedHandshakes {
+			h.fatalf("resumed handshakes did not skip quote verification: %+v", st)
+		}
+		if st.HandshakeFailures == 0 {
+			h.fatalf("chaos faults produced no counted handshake failure: %+v", st)
+		}
+		t.Logf("attested channel: %+v", st)
+	}
+	t.Logf("chaos swarm %s seed %d: %d steps, %d denials, %d client crashes, %d fault events",
+		h.row.name, h.seed, steps, h.denials.Load(), h.crashes.Load(), len(trace))
+
+	h.kill()
+	return trace
+}
+
+// TestChaosSwarm drives a swarm of SL-Local clients through a seeded
+// schedule of renewals, consume reports, profile changes, crashes, and
+// server restarts while injected faults tear WAL frames, cut connections
+// mid-envelope, and fail fsyncs — asserting at every quiesce point that
+// license units are conserved, the audit chain verifies, and recovery
+// reproduces the exact pre-kill ledger. SL-Local's own calls (init,
+// renew, escrow) cross the chaos listener; consume reports and profile
+// changes go to the server in process, as the client port serves no such
+// write. The rows are the three configurations: sequential (the same seed
+// must produce the identical fault trace, so the second run replays the
+// first), lanes (clients concurrent on one pipelined connection, under
+// -race in CI) and attested (every connection over RA-TLS, with handshake
+// failures counted and absorbed by the dial retry, never a panic).
+func TestChaosSwarm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos swarm takes seconds of injected stalls")
 	}
-	runSwarm(t, *chaosSeed, true)
+	seed := *chaosSeed
+	for _, row := range []swarmRow{
+		{name: "sequential", replay: true},
+		{name: "lanes", lanes: true},
+		{name: "attested", attested: true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			tr1 := runSwarm(t, seed, row)
+			if !row.replay {
+				return
+			}
+			tr2 := runSwarm(t, seed, row)
+			if !reflect.DeepEqual(tr1, tr2) {
+				t.Fatalf("seed %d is not reproducible: fault traces differ\nrun 1: %v\nrun 2: %v", seed, tr1, tr2)
+			}
+		})
+	}
 }

@@ -3,6 +3,8 @@ package integration
 import (
 	"context"
 	"errors"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -178,5 +180,154 @@ func TestRatlsDaemonLifecycle(t *testing.T) {
 	}
 	if _, err := wire.Dial(d2.Addr(), evilRC); !errors.Is(err, ratls.ErrHandshake) {
 		t.Fatalf("impostor dial: got %v, want ErrHandshake", err)
+	}
+}
+
+// TestForeignPeerCannotEndLease: only the lease holder ends its lease. A
+// inits, renews and shuts down gracefully, escrowing its root key. B, an
+// attested SL-Local on another platform, then sends administrative writes
+// (crash report, profile, consumption, license registration) naming A's
+// SLID or license, as raw envelopes over its own RA-TLS channel. Every one
+// is refused as an unknown message type and changes nothing: A's restart
+// gets its key back and forfeits nothing.
+func TestForeignPeerCannotEndLease(t *testing.T) {
+	secret := []byte("fleet-provisioning-secret")
+	srvMachine, err := sgx.NewMachine(sgx.MachineConfig{Name: "remote-daemon", EPCBytes: 8 << 20})
+	if err != nil {
+		t.Fatalf("NewMachine: %v", err)
+	}
+	srvRC, err := ratls.NewProvisioned("remote-daemon", srvMachine, secret,
+		slremote.EnclaveCodeIdentity, sllocal.EnclaveCodeIdentity)
+	if err != nil {
+		t.Fatalf("NewProvisioned(server): %v", err)
+	}
+	sealKey, err := seccrypto.NewKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := startRatlsNode(t, t.TempDir(), sealKey, srvRC)
+	if err := node.Remote().RegisterLicense("lic", lease.CountBased, 10_000); err != nil {
+		t.Fatalf("RegisterLicense: %v", err)
+	}
+
+	// A: init, renew, graceful shutdown.
+	m, err := sgx.NewMachine(sgx.MachineConfig{Name: "machine-a", EPCBytes: 8 << 20})
+	if err != nil {
+		t.Fatalf("NewMachine: %v", err)
+	}
+	plat, err := attest.NewPlatform("machine-a", m)
+	if err != nil {
+		t.Fatalf("NewPlatform: %v", err)
+	}
+	rcA, err := ratls.NewProvisioned("machine-a", m, secret,
+		sllocal.EnclaveCodeIdentity, slremote.EnclaveCodeIdentity)
+	if err != nil {
+		t.Fatalf("NewProvisioned(A): %v", err)
+	}
+	client, err := wire.Dial(node.Addr(), rcA)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer client.Close()
+	state := &sllocal.UntrustedState{}
+	svc, err := sllocal.New(sllocal.Config{TokenBatch: 8}, sllocal.Deps{
+		Machine: m, Platform: plat, Remote: client, State: state,
+	})
+	if err != nil {
+		t.Fatalf("sllocal.New: %v", err)
+	}
+	if err := svc.Init(); err != nil {
+		t.Fatalf("Init: %v", err)
+	}
+	app, err := m.CreateEnclave("app", []byte("app"), 0)
+	if err != nil {
+		t.Fatalf("CreateEnclave: %v", err)
+	}
+	if _, err := svc.RequestToken(app, "lic"); err != nil {
+		t.Fatalf("RequestToken: %v", err)
+	}
+	if svc.Stats().Renewals == 0 {
+		t.Fatal("A performed no renewal")
+	}
+	slid := svc.SLID()
+	if err := svc.Shutdown(); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	held := node.Remote().Outstanding(slid, "lic")
+	if held == 0 {
+		t.Fatal("A holds no units after its renewal")
+	}
+
+	// B: another attested platform, speaking raw envelopes.
+	mB, err := sgx.NewMachine(sgx.MachineConfig{Name: "machine-b", EPCBytes: 8 << 20})
+	if err != nil {
+		t.Fatalf("NewMachine: %v", err)
+	}
+	rcB, err := ratls.NewProvisioned("machine-b", mB, secret,
+		sllocal.EnclaveCodeIdentity, slremote.EnclaveCodeIdentity)
+	if err != nil {
+		t.Fatalf("NewProvisioned(B): %v", err)
+	}
+	raw, err := net.Dial("tcp", node.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	conn, err := rcB.Client(raw)
+	if err != nil {
+		t.Fatalf("B's RA-TLS handshake: %v", err)
+	}
+	defer conn.Close()
+	writes := []struct {
+		typ     string
+		payload map[string]any
+	}{
+		{"report_crash", map[string]any{"slid": slid}},
+		{"set_profile", map[string]any{"slid": slid, "health": 0, "reliability": 0.001, "weight": 100}},
+		{"consume", map[string]any{"slid": slid, "license": "lic", "units": held}},
+		{"register_license", map[string]any{"id": "lic-b", "kind": 0, "total_gcl": int64(1) << 50}},
+	}
+	for i, w := range writes {
+		if err := wire.WriteMessage(conn, w.typ, uint64(i+1), w.payload, nil); err != nil {
+			t.Fatalf("%s: write: %v", w.typ, err)
+		}
+		env, err := wire.ReadMessage(conn)
+		if err != nil {
+			t.Fatalf("%s: read: %v", w.typ, err)
+		}
+		if env.Type != wire.TypeError || !strings.Contains(wire.RemoteErr(env).Error(), "unknown message type") {
+			t.Errorf("B's %s naming %s: reply %q (%v), want an unknown-message-type error", w.typ, slid, env.Type, wire.RemoteErr(env))
+		}
+	}
+	if ids := node.Remote().LicenseIDs(); len(ids) != 1 {
+		t.Errorf("licenses after B's writes = %v, want only lic", ids)
+	}
+	st := node.Remote().ExportState()
+	if a := st.Clients[slid]; !a.HasEscrow || a.Health != 1 || a.Weight != 1 || a.Outstanding["lic"] != held {
+		t.Errorf("A's record after B's writes = %+v, want its escrow, default profile and %d units held", a, held)
+	}
+
+	// A's restart gets its key back: the lease tree is restored, not
+	// renewed, and nothing is forfeit.
+	svc2, err := sllocal.New(sllocal.Config{TokenBatch: 8}, sllocal.Deps{
+		Machine: m, Platform: plat, Remote: client, State: state,
+	})
+	if err != nil {
+		t.Fatalf("sllocal.New: %v", err)
+	}
+	if err := svc2.Init(); err != nil {
+		t.Fatalf("re-Init: %v", err)
+	}
+	if _, err := svc2.RequestToken(app, "lic"); err != nil {
+		t.Fatalf("post-restore RequestToken: %v", err)
+	}
+	if got := svc2.Stats().Renewals; got != 0 {
+		t.Errorf("renewals after restore = %d, want 0 (lease tree restored, not renewed)", got)
+	}
+	lic, err := node.Remote().License("lic")
+	if err != nil {
+		t.Fatalf("License: %v", err)
+	}
+	if lic.Lost != 0 || lic.Consumed != 0 {
+		t.Errorf("lic after A's restart: Lost %d, Consumed %d, want 0 and 0", lic.Lost, lic.Consumed)
 	}
 }

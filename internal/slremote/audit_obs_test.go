@@ -58,7 +58,8 @@ func TestAuditTrailCoversLifecycle(t *testing.T) {
 	if _, err := s.RenewLease(res2.SLID, "lic"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReportCrash(res2.SLID); err != nil {
+	// Its next init finds no escrowed key: the crash is detected there.
+	if _, err := s.InitClient(res2.SLID, attest.Quote{}, nil); err != nil {
 		t.Fatal(err)
 	}
 

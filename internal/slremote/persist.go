@@ -8,7 +8,6 @@ import (
 	"maps"
 	"sort"
 	"strconv"
-	"time"
 
 	"repro/internal/attest"
 	"repro/internal/lease"
@@ -36,12 +35,10 @@ import (
 // WAL event opcodes.
 const (
 	opRegister = "register_license"
-	opInterval = "set_interval"
 	opRevoke   = "revoke"
-	opInit     = "init"
+	opInit     = "init" // a re-init without escrow is also the crash record
 	opProfile  = "set_profile"
 	opEscrow   = "escrow"
-	opCrash    = "crash"
 	opRenew    = "renew" // one coalesced RenewLease batch (of one or more grants)
 	opConsume  = "consume"
 )
@@ -53,7 +50,6 @@ type event struct {
 	License     string  `json:"license,omitempty"`
 	Kind        uint8   `json:"kind,omitempty"`
 	TotalGCL    int64   `json:"total_gcl,omitempty"`
-	IntervalNS  int64   `json:"interval_ns,omitempty"`
 	SLID        string  `json:"slid,omitempty"`
 	NextSLID    int     `json:"next_slid,omitempty"`
 	Units       int64   `json:"units,omitempty"`
@@ -267,12 +263,6 @@ func (s *Server) applyEventLocked(ev event, sealKey seccrypto.Key) error {
 			return fmt.Errorf("license %q already exists", ev.License)
 		}
 		s.applyRegisterLocked(ev.License, lease.Kind(ev.Kind), ev.TotalGCL)
-	case opInterval:
-		lic, ok := s.licenses[ev.License]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownLicense, ev.License)
-		}
-		lic.Interval = time.Duration(ev.IntervalNS)
 	case opRevoke:
 		lic, ok := s.licenses[ev.License]
 		if !ok {
@@ -301,12 +291,6 @@ func (s *Server) applyEventLocked(ev event, sealKey seccrypto.Key) error {
 			return err
 		}
 		s.applyEscrowLocked(c, key)
-	case opCrash:
-		c, ok := s.clients[ev.SLID]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownClient, ev.SLID)
-		}
-		s.applyCrashLocked(c)
 	case opRenew:
 		if len(ev.Grants) == 0 {
 			return errors.New("renew record carries no grants")
@@ -355,7 +339,6 @@ type ClientState struct {
 	Escrow      []byte
 	HasEscrow   bool
 	Outstanding map[string]int64
-	Crashed     bool
 }
 
 // ExportState deep-copies the server's full state.
@@ -382,7 +365,6 @@ func (s *Server) exportLocked() State {
 			Reliability: c.reliability,
 			Weight:      c.weight,
 			HasEscrow:   c.hasEscrow,
-			Crashed:     c.crashed,
 			Outstanding: maps.Clone(c.outstanding),
 		}
 		if c.hasEscrow {
@@ -410,7 +392,6 @@ func (s *Server) restoreLocked(st State) error {
 			reliability: cs.Reliability,
 			weight:      cs.Weight,
 			hasEscrow:   cs.HasEscrow,
-			crashed:     cs.Crashed,
 			outstanding: make(map[string]int64, len(cs.Outstanding)),
 		}
 		for k, v := range cs.Outstanding {

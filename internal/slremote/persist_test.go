@@ -82,9 +82,6 @@ func fullWorkload(t *testing.T) func(*Server) {
 		if err := s.RegisterLicense("doomed", lease.CountBased, 10); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.SetLicenseInterval("timed", 3600e9); err != nil {
-			t.Fatal(err)
-		}
 		res, err := s.InitClient("", attest.Quote{}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +119,8 @@ func fullWorkload(t *testing.T) func(*Server) {
 		if err := s.EscrowRootKey(a, key); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.ReportCrash(b); err != nil {
+		// b re-inits with nothing escrowed: the crash forfeit.
+		if _, err := s.InitClient(b, attest.Quote{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Revoke("doomed"); err != nil {

@@ -82,8 +82,9 @@ func TestRecoveryEqualsReplication(t *testing.T) {
 	if err := leader.ConsumeReport(slids[0], "lic", 3); err != nil {
 		t.Fatalf("ConsumeReport: %v", err)
 	}
-	if err := leader.ReportCrash(slids[1]); err != nil {
-		t.Fatalf("ReportCrash: %v", err)
+	// slids[1] re-inits with nothing escrowed: the crash forfeit.
+	if _, err := leader.InitClient(slids[1], attest.Quote{}, nil); err != nil {
+		t.Fatalf("crash re-init: %v", err)
 	}
 	if err := leader.SnapshotNow(); err != nil {
 		t.Fatalf("SnapshotNow: %v", err)
@@ -143,7 +144,7 @@ func TestStateImageRoundTrip(t *testing.T) {
 			"slid-1": {SLID: "slid-1", Health: 0.9, Reliability: 0.8, Weight: 2,
 				Escrow: escrow.Bytes(), HasEscrow: true, Outstanding: map[string]int64{"timed": 10}},
 			"slid-2": {SLID: "slid-2", Health: 0.5, Reliability: 0.25, Weight: 1,
-				Outstanding: map[string]int64{}, Crashed: true},
+				Outstanding: map[string]int64{}},
 		},
 		NextSLID: 3,
 		Stats:    ServerStats{RemoteAttestations: 2, Renewals: 7, RenewalsDenied: 1, CrashForfeits: 1},
@@ -195,7 +196,7 @@ func TestOldSnapshotFormatRejected(t *testing.T) {
 	old := []byte(`{"licenses":{"lic":{"kind":0,"total_gcl":100,"interval_ns":0,` +
 		`"remaining":90,"tau":0,"revoked":false,"lost":0}},` +
 		`"clients":{"slid-1":{"health":1,"reliability":1,"weight":1,` +
-		`"escrow":"MDEyMzQ1Njc4OWFiY2RlZg==","has_escrow":true,"outstanding":{"lic":10},"crashed":false}},` +
+		`"escrow":"MDEyMzQ1Njc4OWFiY2RlZg==","has_escrow":true,"outstanding":{"lic":10}}},` +
 		`"next_slid":1,"stats":{"RemoteAttestations":1,"Renewals":1,"RenewalsDenied":0,"CrashForfeits":0}}`)
 	sealed, err := seccrypto.ProtectWithKey(old, key, nil)
 	if err != nil {

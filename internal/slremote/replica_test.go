@@ -201,7 +201,7 @@ func TestReplicaPromoteServesAndPersists(t *testing.T) {
 	}
 
 	// The replica is sealed off after promotion.
-	if _, err := replica.ApplyBatch(store.TailBatch{Records: [][]byte{[]byte(`{"op":"crash","slid":"x"}`)}}); err == nil {
+	if _, err := replica.ApplyBatch(store.TailBatch{Records: [][]byte{[]byte(`{"op":"init","slid":"x"}`)}}); err == nil {
 		t.Fatalf("Apply after Promote succeeded")
 	}
 }

@@ -12,8 +12,9 @@
 //     sub-GCL g_i granted to client i from its concurrency share α_i, the
 //     scale-down factor D, node health h_i, network reliability n_i, and
 //     the per-license expected-loss bound τ with scale factor β;
-//   - applies the pessimistic crash policy (Section 5.7): a crashed
-//     SL-Local forfeits every GCL it held.
+//   - applies the pessimistic crash policy (Section 5.7): an SL-Local
+//     that re-initializes without an escrowed root key on record has
+//     crashed, and forfeits every GCL it held.
 package slremote
 
 import (
@@ -136,7 +137,6 @@ type clientState struct {
 	hasEscrow   bool
 	// outstanding maps license ID → sub-GCL units currently held.
 	outstanding map[string]int64
-	crashed     bool
 }
 
 // Server is the SL-Remote instance. It is safe for concurrent use.
@@ -252,26 +252,6 @@ func (s *Server) applyRegisterLocked(id string, kind lease.Kind, totalGCL int64)
 	s.licenses[id] = lic
 }
 
-// SetLicenseInterval overrides the discretization step of a time-based or
-// execution-time-based license.
-func (s *Server) SetLicenseInterval(id string, interval time.Duration) error {
-	if interval <= 0 {
-		return fmt.Errorf("slremote: non-positive interval %v", interval)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	lic, ok := s.licenses[id]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownLicense, id)
-	}
-	if err := s.logLocked(event{Op: opInterval, License: id, IntervalNS: int64(interval)}); err != nil {
-		return err
-	}
-	lic.Interval = interval
-	s.maybeSnapshotLocked()
-	return nil
-}
-
 // License returns a copy of the license record.
 func (s *Server) License(id string) (License, error) {
 	s.mu.Lock()
@@ -368,22 +348,17 @@ func (s *Server) applyInitLocked(slid string, nextSLID int) InitResult {
 		s.clients[slid] = c
 	}
 	res := InitResult{SLID: slid}
-	if c.crashed {
-		// Pessimistic policy: the crash already forfeited the leases and
-		// invalidated any stored state; the client starts fresh.
-		c.crashed = false
-		c.hasEscrow = false
-	} else if !c.hasEscrow {
+	if !c.hasEscrow {
 		// A client that returns holding leases but without a graceful
 		// shutdown on record must have crashed (or be replaying): forfeit
-		// everything it held (Section 5.7).
+		// everything it held (Section 5.7). This is the one place a crash
+		// is detected.
 		s.forfeitLocked(c)
+		return res
 	}
-	if c.hasEscrow {
-		res.OBK = c.escrow
-		res.HasOBK = true
-		c.hasEscrow = false // single use; a fresh key arrives at next shutdown
-	}
+	res.OBK = c.escrow
+	res.HasOBK = true
+	c.hasEscrow = false // single use; a fresh key arrives at next shutdown
 	return res
 }
 
@@ -455,34 +430,9 @@ func (s *Server) applyEscrowLocked(c *clientState, key seccrypto.Key) {
 	}
 }
 
-// ReportCrash applies the pessimistic crash policy (Section 5.7): every
-// GCL unit the client held is deemed consumed, and any escrowed state is
-// invalidated. The forfeited units are recorded against each license's
-// Lost counter — the quantity τ bounds in expectation.
-func (s *Server) ReportCrash(slid string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.clients[slid]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownClient, slid)
-	}
-	if err := s.logLocked(event{Op: opCrash, SLID: slid}); err != nil {
-		return err
-	}
-	s.applyCrashLocked(c)
-	s.maybeSnapshotLocked()
-	return nil
-}
-
-func (s *Server) applyCrashLocked(c *clientState) {
-	s.forfeitLocked(c)
-	c.crashed = true
-	c.hasEscrow = false
-}
-
 // forfeitLocked is the pessimistic crash policy's transfer: every unit the
-// client holds moves to its license's Lost counter. Shared by a reported
-// crash and by an init() that reveals an unreported one.
+// client holds moves to its license's Lost counter — the quantity τ
+// bounds in expectation. An init() that finds no escrowed key applies it.
 func (s *Server) forfeitLocked(c *clientState) {
 	for licID, held := range c.outstanding {
 		delete(c.outstanding, licID)
@@ -822,8 +772,8 @@ func (s *Server) alg1Locked(c *clientState, lic *License, co []*clientState) (in
 
 // concurrencySetLocked returns the clients that currently hold or are
 // requesting the license — the requester first, then the holders and the
-// batch's other requesters co (duplicates, the requester itself and
-// crashed clients dropped) — and their total weight. A batch prices every
+// batch's other requesters co (duplicates and the requester itself
+// dropped) — and their total weight. A batch prices every
 // grant as if all its requesters already held the license, which is the
 // state sequential arrival converges to; a lone request passes no co and
 // is priced against the holders alone. The set comes back in sorted-SLID
@@ -843,7 +793,7 @@ func (s *Server) concurrencySetLocked(licenseID string, requester *clientState, 
 	others := set[1:]
 	slices.SortFunc(others, func(a, b *clientState) int { return strings.Compare(a.slid, b.slid) })
 	others = slices.Compact(others)
-	others = slices.DeleteFunc(others, func(c *clientState) bool { return c == requester || c.crashed })
+	others = slices.DeleteFunc(others, func(c *clientState) bool { return c == requester })
 	set = set[:1+len(others)]
 	var weightSum float64
 	for _, c := range set {

@@ -378,8 +378,25 @@ func TestCrashForfeitsLeasesAndEscrow(t *testing.T) {
 	if err := s.EscrowRootKey(slid, key); err != nil {
 		t.Fatalf("EscrowRootKey: %v", err)
 	}
-	if err := s.ReportCrash(slid); err != nil {
-		t.Fatalf("ReportCrash: %v", err)
+	// A graceful restart gets the key back and keeps its leases.
+	res, err := s.InitClient(slid, attest.Quote{}, nil)
+	if err != nil {
+		t.Fatalf("restart init: %v", err)
+	}
+	if !res.HasOBK || s.Outstanding(slid, "lic") != g.Units {
+		t.Fatalf("graceful restart: HasOBK %v, outstanding %d, want the key and %d units",
+			res.HasOBK, s.Outstanding(slid, "lic"), g.Units)
+	}
+	// That incarnation crashes with nothing escrowed. Its next init is
+	// where the crash is detected: the key was single-use, so none is
+	// released (the replay defence of Section 5.7), and every unit held
+	// is forfeit.
+	res, err = s.InitClient(slid, attest.Quote{}, nil)
+	if err != nil {
+		t.Fatalf("post-crash init: %v", err)
+	}
+	if res.HasOBK {
+		t.Fatal("escrow released after a crash — replay window open")
 	}
 	lic, err := s.License("lic")
 	if err != nil {
@@ -391,17 +408,8 @@ func TestCrashForfeitsLeasesAndEscrow(t *testing.T) {
 	if s.Outstanding(slid, "lic") != 0 {
 		t.Fatal("outstanding not forfeited")
 	}
-	// Post-crash init must NOT release the escrowed key (the replay
-	// defence of Section 5.7).
-	res, err := s.InitClient(slid, attest.Quote{}, nil)
-	if err != nil {
-		t.Fatalf("post-crash init: %v", err)
-	}
-	if res.HasOBK {
-		t.Fatal("escrow released after a crash — replay window open")
-	}
-	if err := s.ReportCrash("ghost"); !errors.Is(err, ErrUnknownClient) {
-		t.Fatalf("crash for unknown client: %v", err)
+	if got := s.Stats().CrashForfeits; got != 1 {
+		t.Fatalf("crash forfeits = %d, want 1", got)
 	}
 }
 

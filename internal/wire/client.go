@@ -566,32 +566,7 @@ func (c *Client) EscrowRootKeySpan(parent *obs.Span, slid string, key seccrypto.
 	}), nil)
 }
 
-// RegisterLicense registers a license on the remote server (admin). In a
-// sharded cluster the request follows redirects to the license's owning
-// shard.
-func (c *Client) RegisterLicense(id string, kind uint8, totalGCL int64) error {
-	return c.call(nil, TypeRegisterLicense, RegisterLicenseRequest{ID: id, Kind: kind, TotalGCL: totalGCL}, nil)
-}
-
-// ReportCrash reports a crashed SL-Local (admin/monitor).
-func (c *Client) ReportCrash(slid string) error {
-	return c.call(nil, TypeReportCrash, ReportCrashRequest{SLID: slid}, nil)
-}
-
-// SetProfile updates a client's Algorithm 1 inputs (admin/monitor).
-func (c *Client) SetProfile(slid string, health, reliability, weight float64) error {
-	return c.call(nil, TypeSetProfile, SetProfileRequest{
-		SLID: slid, Health: health, Reliability: reliability, Weight: weight,
-	}, nil)
-}
-
-// ConsumeReport reports spent units so the server's outstanding view (and
-// the conservation ledger behind it) tracks reality.
-func (c *Client) ConsumeReport(slid, licenseID string, units int64) error {
-	return c.call(nil, TypeConsume, ConsumeRequest{SLID: slid, License: licenseID, Units: units}, nil)
-}
-
-// LicenseInfo fetches license state (admin), following shard redirects.
+// LicenseInfo fetches license state (read-only), following shard redirects.
 func (c *Client) LicenseInfo(id string) (LicenseInfoResponse, error) {
 	var resp LicenseInfoResponse
 	err := c.call(nil, TypeLicenseInfo, LicenseInfoRequest{ID: id}, &resp)

@@ -113,8 +113,11 @@ func TestClientRedirectRetiresOldConn(t *testing.T) {
 		}
 		return leader, 7, false
 	}, nil)
-	serveDeployment(t, ownerLn, func(string) (string, uint64, bool) { return leader, 7, true }, nil)
+	owner := serveDeployment(t, ownerLn, func(string) (string, uint64, bool) { return leader, 7, true }, nil)
 	if err := stale.remote.RegisterLicense("slow", lease.CountBased, 321); err != nil {
+		t.Fatalf("RegisterLicense: %v", err)
+	}
+	if err := owner.remote.RegisterLicense("lic", lease.CountBased, 500); err != nil {
 		t.Fatalf("RegisterLicense: %v", err)
 	}
 
@@ -136,8 +139,8 @@ func TestClientRedirectRetiresOldConn(t *testing.T) {
 	<-arrived
 
 	// The redirect lands while "slow" is still in flight on old.
-	if err := client.RegisterLicense("lic", uint8(lease.CountBased), 500); err != nil {
-		t.Fatalf("RegisterLicense via redirect: %v", err)
+	if _, err := client.LicenseInfo("lic"); err != nil {
+		t.Fatalf("LicenseInfo via redirect: %v", err)
 	}
 	if cur := client.current(); cur == old {
 		t.Fatal("redirect kept the old connection")
@@ -177,8 +180,11 @@ func TestClientEscrowAfterRedirect(t *testing.T) {
 	leader := ownerLn.Addr().String()
 	stale := serveDeployment(t, staleLn, func(string) (string, uint64, bool) { return leader, 7, false },
 		counting(&staleEscrows))
-	serveDeployment(t, ownerLn, func(string) (string, uint64, bool) { return leader, 7, true },
+	owner := serveDeployment(t, ownerLn, func(string) (string, uint64, bool) { return leader, 7, true },
 		counting(&ownerEscrows))
+	if err := owner.remote.RegisterLicense("lic", lease.CountBased, 500); err != nil {
+		t.Fatalf("RegisterLicense: %v", err)
+	}
 
 	client, err := DialPolicy(stale.addr, time.Second, ratls.Insecure(), RetryPolicy{Attempts: 2, Base: time.Millisecond, Seed: 5})
 	if err != nil {
@@ -186,8 +192,8 @@ func TestClientEscrowAfterRedirect(t *testing.T) {
 	}
 	defer client.Close()
 	old := client.current()
-	if err := client.RegisterLicense("lic", uint8(lease.CountBased), 500); err != nil {
-		t.Fatalf("RegisterLicense via redirect: %v", err)
+	if _, err := client.LicenseInfo("lic"); err != nil {
+		t.Fatalf("LicenseInfo via redirect: %v", err)
 	}
 	key, err := seccrypto.KeyFromBytes([]byte("0123456789abcdef"))
 	if err != nil {

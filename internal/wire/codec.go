@@ -19,7 +19,7 @@ import (
 // escapes and invalid-UTF-8 replacement); FuzzEnvelope pins that
 // equivalence.
 //
-// Hot payload types (renew, consume, error/ok) are appended by hand too;
+// Hot payload types (renew, error/ok) are appended by hand too;
 // everything else falls back to one json.Marshal for the payload only.
 
 // framePool recycles frame-encoding buffers across RPCs. Buffers above
@@ -123,14 +123,6 @@ func appendPayload(dst []byte, payload any) (_ []byte, ok bool) {
 			dst = append(dst, `,"interval_ns":`...)
 			dst = strconv.AppendInt(dst, p.IntervalNS, 10)
 		}
-		return append(dst, '}'), true
-	case ConsumeRequest:
-		dst = append(dst, `{"slid":`...)
-		dst = appendJSONString(dst, p.SLID)
-		dst = append(dst, `,"license":`...)
-		dst = appendJSONString(dst, p.License)
-		dst = append(dst, `,"units":`...)
-		dst = strconv.AppendInt(dst, p.Units, 10)
 		return append(dst, '}'), true
 	case ErrorResponse:
 		dst = append(dst, `{"message":`...)

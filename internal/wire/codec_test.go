@@ -122,10 +122,9 @@ func TestFastPayloadsMatchMarshal(t *testing.T) {
 	payloads := []any{
 		RenewRequest{SLID: "s", License: "l"},
 		RenewRequest{},
+		RenewRequest{SLID: "we\"ird\\", License: "<&> "},
 		RenewResponse{Units: 12, Kind: 1, Counter: 12},
 		RenewResponse{Units: -3, Kind: 0, Counter: 0, IntervalNS: 5_000_000},
-		ConsumeRequest{SLID: "s", License: "l", Units: 9},
-		ConsumeRequest{SLID: "we\"ird\\", License: "<&> ", Units: -1},
 		ErrorResponse{Message: "ka\nput\xff"},
 		ErrorResponse{},
 	}

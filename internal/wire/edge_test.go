@@ -65,14 +65,7 @@ func TestServerCloseIdempotentAndServeAfterClose(t *testing.T) {
 
 func TestConcurrentClientsOneServer(t *testing.T) {
 	d := startDeployment(t)
-	if err := func() error {
-		c, err := Dial(d.addr, ratls.Insecure())
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		return c.RegisterLicense("lic", uint8(lease.CountBased), 1_000_000)
-	}(); err != nil {
+	if err := d.remote.RegisterLicense("lic", lease.CountBased, 1_000_000); err != nil {
 		t.Fatalf("setup: %v", err)
 	}
 
@@ -107,14 +100,14 @@ func TestConcurrentClientsOneServer(t *testing.T) {
 
 func TestClientSurvivesSharedUseAcrossGoroutines(t *testing.T) {
 	d := startDeployment(t)
+	if err := d.remote.RegisterLicense("shared", lease.CountBased, 1_000_000); err != nil {
+		t.Fatal(err)
+	}
 	c, err := Dial(d.addr, ratls.Insecure())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.RegisterLicense("shared", uint8(lease.CountBased), 1_000_000); err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	for w := 0; w < 4; w++ {

@@ -21,8 +21,7 @@ type rpcType struct {
 // peer cannot grow label cardinality.
 var rpcLabels = [...]struct{ req, reply string }{
 	{TypeInit, TypeInit}, {TypeRenew, TypeRenew}, {TypeEscrow, TypeOK},
-	{TypeRegisterLicense, TypeOK}, {TypeReportCrash, TypeOK}, {TypeSetProfile, TypeOK},
-	{TypeLicenseInfo, TypeLicenseInfo}, {TypeConsume, TypeOK},
+	{TypeLicenseInfo, TypeLicenseInfo},
 	{TypeReplPull, TypeReplBatch}, {TypeObsPull, TypeObsPull}, {"unknown", ""},
 }
 

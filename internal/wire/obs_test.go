@@ -34,45 +34,48 @@ func TestWireMetricsEndToEnd(t *testing.T) {
 	defer client.Close()
 	client.ExposeMetrics(reg, nil)
 
-	if err := client.RegisterLicense("lic", uint8(lease.CountBased), 100); err != nil {
+	if err := d.remote.RegisterLicense("lic", lease.CountBased, 100); err != nil {
 		t.Fatalf("RegisterLicense: %v", err)
-	}
-	// Duplicate registration is answered with an error envelope: a server-side
-	// RPC error, but not a client transport error.
-	if err := client.RegisterLicense("lic", uint8(lease.CountBased), 100); !errors.Is(err, ErrRemote) {
-		t.Fatalf("duplicate register: %v", err)
 	}
 	if _, err := client.LicenseInfo("lic"); err != nil {
 		t.Fatalf("LicenseInfo: %v", err)
+	}
+	// An unknown license is answered with an error envelope: a server-side
+	// RPC error, but not a client transport error.
+	if _, err := client.LicenseInfo("ghost"); !errors.Is(err, ErrRemote) {
+		t.Fatalf("LicenseInfo ghost: %v", err)
+	}
+	if _, err := client.RenewLease("ghost", "lic"); !errors.Is(err, ErrRemote) {
+		t.Fatalf("RenewLease ghost: %v", err)
 	}
 
 	// The server records an RPC's metrics and ends its span just after
 	// writing the reply, so the client can read a reply before either
 	// lands. Wait for the three spans before reading the metrics.
-	waitFor(t, "two register_license spans and one license_info span", func() bool {
+	waitFor(t, "two license_info spans and one renew span", func() bool {
 		names := make(map[string]int)
 		for _, ev := range tr.Events() {
 			names[ev.Name]++
 		}
-		return names["rpc."+TypeRegisterLicense] == 2 && names["rpc."+TypeLicenseInfo] == 1
+		return names["rpc."+TypeLicenseInfo] == 2 && names["rpc."+TypeRenew] == 1
 	})
 
 	snap := reg.Snapshot()
-	reglbl := map[string]string{"type": TypeRegisterLicense}
 	infolbl := map[string]string{"type": TypeLicenseInfo}
+	renewlbl := map[string]string{"type": TypeRenew}
 	checks := []struct {
 		name   string
 		labels map[string]string
 		want   float64
 	}{
-		{"wire_client_rpcs_total", reglbl, 2},
-		{"wire_client_rpcs_total", infolbl, 1},
-		{"wire_client_rpc_latency_seconds_count", infolbl, 1},
-		{"wire_client_rpc_errors_total", infolbl, 0},
-		{"wire_server_rpcs_total", reglbl, 2},
-		{"wire_server_rpcs_total", infolbl, 1},
-		{"wire_server_rpc_errors_total", reglbl, 1},
-		{"wire_server_rpc_latency_seconds_count", reglbl, 2},
+		{"wire_client_rpcs_total", infolbl, 2},
+		{"wire_client_rpcs_total", renewlbl, 1},
+		{"wire_client_rpc_latency_seconds_count", renewlbl, 1},
+		{"wire_client_rpc_errors_total", renewlbl, 0},
+		{"wire_server_rpcs_total", infolbl, 2},
+		{"wire_server_rpcs_total", renewlbl, 1},
+		{"wire_server_rpc_errors_total", infolbl, 1},
+		{"wire_server_rpc_latency_seconds_count", infolbl, 2},
 	}
 	for _, c := range checks {
 		if got := snap.Get(c.name, c.labels); got != c.want {
@@ -92,10 +95,13 @@ func TestWireMetricsEndToEnd(t *testing.T) {
 func TestServerRecoversHandlerPanic(t *testing.T) {
 	reg := obs.NewRegistry()
 	d := startInstrumentedDeployment(t, reg, nil, func(env Envelope) {
-		if env.Type == TypeReportCrash {
+		if env.Type == TypeRenew {
 			panic("injected handler panic")
 		}
 	})
+	if err := d.remote.RegisterLicense("lic", lease.CountBased, 10); err != nil {
+		t.Fatalf("RegisterLicense: %v", err)
+	}
 
 	client, err := Dial(d.addr, ratls.Insecure())
 	if err != nil {
@@ -103,7 +109,7 @@ func TestServerRecoversHandlerPanic(t *testing.T) {
 	}
 	defer client.Close()
 
-	err = client.ReportCrash("sl-x")
+	_, err = client.RenewLease("sl-x", "lic")
 	if err == nil {
 		t.Fatal("panicking handler returned success")
 	}
@@ -111,7 +117,7 @@ func TestServerRecoversHandlerPanic(t *testing.T) {
 		t.Fatalf("panic reply = %v, want remote internal error", err)
 	}
 	// The connection survives the panic: the same client keeps working.
-	if err := client.RegisterLicense("lic", uint8(lease.CountBased), 10); err != nil {
+	if _, err := client.LicenseInfo("lic"); err != nil {
 		t.Fatalf("RPC after panic: %v", err)
 	}
 	if got := reg.Snapshot().Get("wire_server_handler_panics_total", nil); got != 1 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -55,8 +56,8 @@ func startPipeDeployment(t testing.TB, wrap func(net.Listener) net.Listener) *pi
 }
 
 // TestPipelinedDemuxRaceStress is the demux torture test: 64 goroutines
-// share ONE pipelined connection and interleave renewals, consume reports,
-// license lookups, and deliberate error replies, while chaos Reorder
+// share ONE pipelined connection and interleave renewals, license
+// lookups, and deliberate error replies from both, while chaos Reorder
 // faults on the server's listener force response frames out of request
 // order. Every worker owns a distinct license whose registered TotalGCL is
 // its correlation witness: a reply delivered to the wrong waiter surfaces
@@ -107,7 +108,6 @@ func TestPipelinedDemuxRaceStress(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			lic := licName(i)
-			var avail int64 // units renewed but not yet consumed by this worker
 			for j := 0; j < iters; j++ {
 				switch j % 4 {
 				case 0:
@@ -131,16 +131,14 @@ func TestPipelinedDemuxRaceStress(t *testing.T) {
 						t.Errorf("worker %d grant = %+v — reply misdelivered or corrupt", i, g)
 						return
 					}
-					avail += g.Units
 				case 2:
-					if avail < 1 {
-						continue
-					}
-					if err := client.ConsumeReport(slids[i], lic, 1); err != nil {
-						t.Errorf("worker %d ConsumeReport: %v", i, err)
+					// A denied renewal's error reply rides the renewal
+					// coalescer back to its own waiter too.
+					ghost := fmt.Sprintf("ghost-%02d", i)
+					if _, err := client.RenewLease(slids[i], ghost); !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), ghost) {
+						t.Errorf("worker %d ghost renewal: err = %v, want ErrRemote naming %s", i, err, ghost)
 						return
 					}
-					avail--
 				case 3:
 					// An error reply must come back to the waiter that
 					// earned it, not to an innocent bystander.

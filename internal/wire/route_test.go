@@ -118,16 +118,17 @@ func TestClientFollowsNotLeaderRedirect(t *testing.T) {
 	reg := obs.NewRegistry()
 	client.ExposeMetrics(reg, nil)
 
-	// The admin write lands on the owning shard despite being sent to the
-	// stale server.
-	if err := client.RegisterLicense("lic", uint8(lease.CountBased), 500); err != nil {
-		t.Fatalf("RegisterLicense via redirect: %v", err)
+	// Only the owner holds the license; the lookup sent to the stale
+	// server is answered by the owner.
+	if err := owner.remote.RegisterLicense("lic", lease.CountBased, 500); err != nil {
+		t.Fatalf("RegisterLicense: %v", err)
 	}
-	if _, err := owner.remote.License("lic"); err != nil {
-		t.Fatalf("license missing on owner after redirected registration: %v", err)
+	info, err := client.LicenseInfo("lic")
+	if err != nil {
+		t.Fatalf("LicenseInfo via redirect: %v", err)
 	}
-	if _, err := stale.remote.License("lic"); err == nil {
-		t.Fatal("license landed on the stale server")
+	if info.TotalGCL != 500 {
+		t.Fatalf("TotalGCL = %d, want 500", info.TotalGCL)
 	}
 	if got := client.redirects.Load(); got != 1 {
 		t.Fatalf("redirects = %d, want 1", got)
@@ -138,12 +139,8 @@ func TestClientFollowsNotLeaderRedirect(t *testing.T) {
 
 	// The connection now points at the leader: further license-scoped
 	// calls go direct, costing no additional redirect.
-	info, err := client.LicenseInfo("lic")
-	if err != nil {
+	if _, err := client.LicenseInfo("lic"); err != nil {
 		t.Fatalf("LicenseInfo after redirect: %v", err)
-	}
-	if info.TotalGCL != 500 {
-		t.Fatalf("TotalGCL = %d, want 500", info.TotalGCL)
 	}
 	if got := client.redirects.Load(); got != 1 {
 		t.Fatalf("redirects = %d after direct call, want still 1", got)

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/lease"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/ratls"
@@ -494,52 +493,6 @@ func (s *Server) dispatch(conn net.Conn, fw *frameWriter, env Envelope, typ rpcT
 			return fail(err)
 		}
 		child.End(nil)
-		return reply(TypeOK, nil)
-
-	case TypeRegisterLicense:
-		var req RegisterLicenseRequest
-		if err := DecodePayload(env, &req); err != nil {
-			return fail(err)
-		}
-		if hit, werr := redirect(req.ID); hit {
-			return werr
-		}
-		if err := s.remote.RegisterLicense(req.ID, lease.Kind(req.Kind), req.TotalGCL); err != nil {
-			return fail(err)
-		}
-		return reply(TypeOK, nil)
-
-	case TypeReportCrash:
-		var req ReportCrashRequest
-		if err := DecodePayload(env, &req); err != nil {
-			return fail(err)
-		}
-		if err := s.remote.ReportCrash(req.SLID); err != nil {
-			return fail(err)
-		}
-		return reply(TypeOK, nil)
-
-	case TypeSetProfile:
-		var req SetProfileRequest
-		if err := DecodePayload(env, &req); err != nil {
-			return fail(err)
-		}
-		if err := s.remote.SetClientProfile(req.SLID, req.Health, req.Reliability, req.Weight); err != nil {
-			return fail(err)
-		}
-		return reply(TypeOK, nil)
-
-	case TypeConsume:
-		var req ConsumeRequest
-		if err := DecodePayload(env, &req); err != nil {
-			return fail(err)
-		}
-		if hit, werr := redirect(req.License); hit {
-			return werr
-		}
-		if err := s.remote.ConsumeReport(req.SLID, req.License, req.Units); err != nil {
-			return fail(err)
-		}
 		return reply(TypeOK, nil)
 
 	case TypeLicenseInfo:

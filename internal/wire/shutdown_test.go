@@ -16,16 +16,19 @@ func TestShutdownDrainsIdleConnections(t *testing.T) {
 	reg := obs.NewRegistry()
 	d := startInstrumentedDeployment(t, reg, nil, nil)
 
-	// Two idle clients: connected, no envelope in flight. Each registers a
-	// license so the connection is proven live before the drain starts.
+	if err := d.remote.RegisterLicense("warm", lease.CountBased, 10); err != nil {
+		t.Fatalf("RegisterLicense: %v", err)
+	}
+	// Two idle clients: connected, no envelope in flight. Each looks a
+	// license up so the connection is proven live before the drain starts.
 	for i := 0; i < 2; i++ {
 		c, err := Dial(d.addr, ratls.Insecure())
 		if err != nil {
 			t.Fatalf("Dial: %v", err)
 		}
 		defer c.Close()
-		if err := c.RegisterLicense("warm-"+string(rune('a'+i)), uint8(lease.CountBased), 10); err != nil {
-			t.Fatalf("RegisterLicense: %v", err)
+		if _, err := c.LicenseInfo("warm"); err != nil {
+			t.Fatalf("LicenseInfo: %v", err)
 		}
 	}
 
@@ -56,6 +59,9 @@ func TestShutdownWaitsForInFlightEnvelope(t *testing.T) {
 		entered.Do(func() { close(inHandler) })
 		<-release
 	})
+	if err := d.remote.RegisterLicense("slow", lease.CountBased, 10); err != nil {
+		t.Fatalf("RegisterLicense: %v", err)
+	}
 
 	c, err := Dial(d.addr, ratls.Insecure())
 	if err != nil {
@@ -66,7 +72,10 @@ func TestShutdownWaitsForInFlightEnvelope(t *testing.T) {
 	// Fire a request that blocks inside the handler, then shut down while
 	// it is in flight.
 	reqDone := make(chan error, 1)
-	go func() { reqDone <- c.RegisterLicense("slow", uint8(lease.CountBased), 10) }()
+	go func() {
+		_, err := c.LicenseInfo("slow")
+		reqDone <- err
+	}()
 	<-inHandler
 
 	shutDone := make(chan error, 1)
@@ -111,7 +120,7 @@ func TestShutdownDeadlineAbortsStuckConnection(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
-	go func() { _ = c.RegisterLicense("stuck", uint8(lease.CountBased), 10) }()
+	go func() { _, _ = c.LicenseInfo("stuck") }()
 	<-inHandler
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -129,12 +138,15 @@ func TestShutdownRefusesNewConnections(t *testing.T) {
 	d := startInstrumentedDeployment(t, obs.NewRegistry(), nil, nil)
 	// One round trip first, so the serve loop is provably running before
 	// the drain starts.
+	if err := d.remote.RegisterLicense("warm", lease.CountBased, 10); err != nil {
+		t.Fatalf("RegisterLicense: %v", err)
+	}
 	c, err := Dial(d.addr, ratls.Insecure())
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	if err := c.RegisterLicense("warm", uint8(lease.CountBased), 10); err != nil {
-		t.Fatalf("RegisterLicense: %v", err)
+	if _, err := c.LicenseInfo("warm"); err != nil {
+		t.Fatalf("LicenseInfo: %v", err)
 	}
 	c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -60,7 +60,7 @@ func TestDistributedTraceAcrossTCP(t *testing.T) {
 	clientReg, clientTr := obs.NewRegistry(), obs.NewTracer(64)
 	client.ExposeMetrics(clientReg, clientTr)
 
-	if err := client.RegisterLicense("lic", uint8(lease.CountBased), 10_000); err != nil {
+	if err := d.remote.RegisterLicense("lic", lease.CountBased, 10_000); err != nil {
 		t.Fatalf("RegisterLicense: %v", err)
 	}
 
@@ -188,7 +188,7 @@ func TestDistributedTraceAcrossTCP(t *testing.T) {
 func TestPanicEndsHandlerSpan(t *testing.T) {
 	reg, tr := obs.NewRegistry(), obs.NewTracer(64)
 	d := startInstrumentedDeployment(t, reg, tr, func(env Envelope) {
-		if env.Type == TypeReportCrash {
+		if env.Type == TypeRenew {
 			panic("injected handler panic")
 		}
 	})
@@ -198,12 +198,12 @@ func TestPanicEndsHandlerSpan(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer client.Close()
-	if err := client.ReportCrash("sl-x"); !errors.Is(err, ErrRemote) {
+	if _, err := client.RenewLease("sl-x", "lic"); !errors.Is(err, ErrRemote) {
 		t.Fatalf("panicking handler reply = %v, want remote error", err)
 	}
 
 	events := tr.Events()
-	ev, ok := eventByName(events, "rpc."+TypeReportCrash)
+	ev, ok := eventByName(events, "rpc."+TypeRenew)
 	if !ok {
 		t.Fatalf("panicking handler left no span: %+v", events)
 	}
@@ -212,7 +212,7 @@ func TestPanicEndsHandlerSpan(t *testing.T) {
 	}
 	count := 0
 	for _, e := range events {
-		if e.Name == "rpc."+TypeReportCrash {
+		if e.Name == "rpc."+TypeRenew {
 			count++
 		}
 	}
@@ -221,7 +221,7 @@ func TestPanicEndsHandlerSpan(t *testing.T) {
 	}
 	// The RPC latency histogram moved exactly once too.
 	if got := reg.Snapshot().Get("wire_server_rpc_latency_seconds_count",
-		map[string]string{"type": TypeReportCrash}); got != 1 {
+		map[string]string{"type": TypeRenew}); got != 1 {
 		t.Fatalf("latency count = %v, want 1", got)
 	}
 }

@@ -4,9 +4,12 @@
 // *slremote.Server) or against a real server process, which is how the
 // cmd/sl-remote and cmd/sl-local binaries deploy.
 //
-// The protocol carries the three SL-Local→SL-Remote operations (init,
-// renew, escrow) plus administrative calls (license registration, crash
-// reports, profile updates). A Client speaks it over one pipelined
+// The client port serves six request types: the three SL-Local→SL-Remote
+// operations (init, renew, escrow), the read-only license_info lookup,
+// and the repl_pull and obs_pull streams a follower and a fleet scraper
+// read. Nothing else writes server state over the wire: licenses come
+// from the daemon's flags, and a crash is detected at the client's next
+// init, when it finds no escrowed key. A Client speaks it over one pipelined
 // connection, and every RPC takes one request path from request frame to
 // decoded reply; both ends write frames through one coalescing frame
 // writer, and WriteMessage is the one framing entry point. Payload
@@ -36,16 +39,12 @@ const MaxMessageSize = 16 << 20
 
 // Message types.
 const (
-	TypeInit            = "init"
-	TypeRenew           = "renew"
-	TypeEscrow          = "escrow"
-	TypeRegisterLicense = "register_license"
-	TypeReportCrash     = "report_crash"
-	TypeSetProfile      = "set_profile"
-	TypeLicenseInfo     = "license_info"
-	TypeConsume         = "consume"
-	TypeError           = "error"
-	TypeOK              = "ok"
+	TypeInit        = "init"
+	TypeRenew       = "renew"
+	TypeEscrow      = "escrow"
+	TypeLicenseInfo = "license_info"
+	TypeError       = "error"
+	TypeOK          = "ok"
 	// TypeNotLeader answers a license-scoped request sent to a server that
 	// does not own the license's hash range: the payload names the shard's
 	// current leader so the client re-routes transparently.
@@ -120,36 +119,7 @@ type EscrowRequest struct {
 	Key  []byte `json:"key"`
 }
 
-// RegisterLicenseRequest registers a license (admin).
-type RegisterLicenseRequest struct {
-	ID       string `json:"id"`
-	Kind     uint8  `json:"kind"`
-	TotalGCL int64  `json:"total_gcl"`
-}
-
-// ReportCrashRequest applies the pessimistic crash policy (admin/monitor).
-type ReportCrashRequest struct {
-	SLID string `json:"slid"`
-}
-
-// SetProfileRequest updates a client's Algorithm 1 inputs.
-type SetProfileRequest struct {
-	SLID        string  `json:"slid"`
-	Health      float64 `json:"health"`
-	Reliability float64 `json:"reliability"`
-	Weight      float64 `json:"weight"`
-}
-
-// ConsumeRequest reports units a client spent from its sub-GCL, moving
-// them from the server's outstanding view to the license's consumed
-// ledger.
-type ConsumeRequest struct {
-	SLID    string `json:"slid"`
-	License string `json:"license"`
-	Units   int64  `json:"units"`
-}
-
-// LicenseInfoRequest fetches license state (admin).
+// LicenseInfoRequest fetches license state (read-only).
 type LicenseInfoRequest struct {
 	ID string `json:"id"`
 }

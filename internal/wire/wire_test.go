@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/attest"
 	"repro/internal/lease"
+	"repro/internal/obs"
 	"repro/internal/ratls"
 	"repro/internal/seccrypto"
 	"repro/internal/sgx"
@@ -186,12 +187,13 @@ func TestEndToEndOverTCP(t *testing.T) {
 		}
 	}()
 
-	if err := client.RegisterLicense("lic", uint8(lease.CountBased), 10_000); err != nil {
+	if err := d.remote.RegisterLicense("lic", lease.CountBased, 10_000); err != nil {
 		t.Fatalf("RegisterLicense: %v", err)
 	}
-	// Duplicate registration surfaces the remote error.
-	if err := client.RegisterLicense("lic", uint8(lease.CountBased), 10_000); !errors.Is(err, ErrRemote) {
-		t.Fatalf("duplicate register: %v", err)
+	// A renewal for an SLID that never initialized surfaces the remote
+	// error.
+	if _, err := client.RenewLease("ghost", "lic"); !errors.Is(err, ErrRemote) {
+		t.Fatalf("RenewLease ghost: %v", err)
 	}
 
 	// SL-Local runs against the TCP client unchanged.
@@ -242,16 +244,6 @@ func TestEndToEndOverTCP(t *testing.T) {
 		t.Fatalf("renewals after restore over TCP = %d, want 0", got)
 	}
 
-	// Admin paths.
-	if err := client.SetProfile(svc2.SLID(), 0.95, 0.8, 1.0); err != nil {
-		t.Fatalf("SetProfile: %v", err)
-	}
-	if err := client.ReportCrash(svc2.SLID()); err != nil {
-		t.Fatalf("ReportCrash: %v", err)
-	}
-	if err := client.ReportCrash("ghost"); !errors.Is(err, ErrRemote) {
-		t.Fatalf("ReportCrash ghost: %v", err)
-	}
 	if _, err := client.LicenseInfo("ghost"); !errors.Is(err, ErrRemote) {
 		t.Fatalf("LicenseInfo ghost: %v", err)
 	}
@@ -284,25 +276,47 @@ func TestUnattestedClientRejected(t *testing.T) {
 	}
 }
 
+// TestUnknownMessageType: a type the client port does not serve gets an
+// error reply and is counted under type="unknown". The rows besides
+// "bogus" name administrative writes (register a license, report a
+// crash, set a profile, report consumption) that only in-process callers
+// make: a peer that sends one changes nothing.
 func TestUnknownMessageType(t *testing.T) {
-	d := startDeployment(t)
+	reg := obs.NewRegistry()
+	d := startInstrumentedDeployment(t, reg, nil, nil)
 	conn, err := net.Dial("tcp", d.addr)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer conn.Close()
-	if err := WriteMessage(conn, "bogus", 0, nil, nil); err != nil {
-		t.Fatalf("WriteMessage: %v", err)
+	types := []string{"bogus", "register_license", "report_crash", "set_profile", "consume"}
+	for i, typ := range types {
+		t.Run(typ, func(t *testing.T) {
+			payload := map[string]any{"id": "lic", "slid": "slid-1", "license": "lic", "units": 1, "total_gcl": 1 << 50}
+			if err := WriteMessage(conn, typ, uint64(i+1), payload, nil); err != nil {
+				t.Fatalf("WriteMessage: %v", err)
+			}
+			env, err := ReadMessage(conn)
+			if err != nil {
+				t.Fatalf("ReadMessage: %v", err)
+			}
+			if env.Type != TypeError || env.ID != uint64(i+1) {
+				t.Fatalf("reply = %q (id %d), want %q (id %d)", env.Type, env.ID, TypeError, i+1)
+			}
+			if !strings.Contains(RemoteErr(env).Error(), "unknown message type") {
+				t.Fatalf("error = %v", RemoteErr(env))
+			}
+		})
 	}
-	env, err := ReadMessage(conn)
-	if err != nil {
-		t.Fatalf("ReadMessage: %v", err)
+	unknown := map[string]string{"type": "unknown"}
+	waitFor(t, "every unknown request counted", func() bool {
+		return reg.Snapshot().Get("wire_server_rpcs_total", unknown) == float64(len(types))
+	})
+	if got := reg.Snapshot().Get("wire_server_rpc_errors_total", unknown); got != float64(len(types)) {
+		t.Fatalf(`errors under type="unknown" = %v, want %d`, got, len(types))
 	}
-	if env.Type != TypeError {
-		t.Fatalf("reply type = %q", env.Type)
-	}
-	if !strings.Contains(RemoteErr(env).Error(), "unknown message type") {
-		t.Fatalf("error = %v", RemoteErr(env))
+	if ids := d.remote.LicenseIDs(); len(ids) != 0 {
+		t.Fatalf("licenses after refused writes = %v, want none", ids)
 	}
 }
 
