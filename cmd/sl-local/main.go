@@ -90,7 +90,6 @@ func run(fs *flag.FlagSet, args []string, stop <-chan os.Signal) error {
 		Machine:  machine,
 		Platform: platform,
 		Remote:   client,
-		State:    &sllocal.UntrustedState{},
 	})
 	if err != nil {
 		return err

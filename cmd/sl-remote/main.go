@@ -76,7 +76,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/attest"
 	"repro/internal/audit"
 	"repro/internal/cli"
 	"repro/internal/cluster"
@@ -122,7 +121,6 @@ func run(fs *flag.FlagSet, args []string, stop <-chan os.Signal, serving func(*c
 		th       = fs.Float64("th", 0.9, "health threshold T_H (paper: 0.9)")
 		beta     = fs.Float64("beta", 0.01, "initial beta (paper: 0.01)")
 		tau      = fs.Float64("tau", 0.10, "expected-loss bound as fraction of TG (paper: 0.10)")
-		open     = fs.Bool("open-attestation", true, "accept any platform/measurement (demo mode; disable to require explicit enrollment)")
 		licenses stringFlags
 
 		shards       = fs.Int("shards", 1, "total shard count of the cluster this server belongs to (1: unsharded)")
@@ -185,12 +183,6 @@ func run(fs *flag.FlagSet, args []string, stop <-chan os.Signal, serving func(*c
 		for i, p := range peers {
 			clusterDir.SetLeader(i, p)
 		}
-	}
-
-	var service *attest.Service
-	if !*open {
-		service = attest.NewService()
-		log.Printf("attestation service enabled: enroll platforms before clients can init")
 	}
 
 	// Instrumentation is always on, and it follows the process, not the
@@ -268,7 +260,6 @@ func run(fs *flag.FlagSet, args []string, stop <-chan os.Signal, serving func(*c
 		Dir:           *stateDir,
 		SealKey:       sealKey,
 		Config:        slremote.Config{D: *d, HealthThreshold: *th, Beta: *beta, TauFraction: *tau},
-		Service:       service,
 		Channel:       rc,
 		Directory:     clusterDir,
 		Audit:         auditLog,

@@ -20,12 +20,10 @@ import (
 	"os"
 
 	"repro/internal/attest"
+	"repro/internal/core"
 	"repro/internal/lease"
 	"repro/internal/pcl"
-	"repro/internal/sgx"
 	"repro/internal/sllocal"
-	"repro/internal/slmanager"
-	"repro/internal/slremote"
 )
 
 func main() {
@@ -36,24 +34,27 @@ func main() {
 }
 
 func run() error {
-	// Client machine + attestation plumbing.
-	machine, err := sgx.NewMachine(sgx.MachineConfig{Name: "customer"})
+	// The customer's machine with SecureLease deployed: SL-Local running,
+	// SL-Remote holding a 25-run license for the codec.
+	sys, err := core.NewSystem(core.Config{MachineName: "customer", Local: sllocal.Config{TokenBatch: 1}})
 	if err != nil {
 		return err
 	}
-	platform, err := attest.NewPlatform("customer", machine)
+	if err := sys.RegisterLicense("lic-codec", lease.CountBased, 25); err != nil {
+		return err
+	}
+	platform := sys.Platform()
+
+	// The application's secure region and its SL-Manager; the vendor's
+	// attestation service trusts the platform and the enclave's
+	// measurement.
+	app, err := sys.LaunchApp("media-app")
 	if err != nil {
 		return err
 	}
+	enclave := app.Enclave()
 	service := attest.NewService()
 	service.RegisterPlatform(platform)
-
-	// The application's secure-region enclave; the vendor trusts its
-	// measurement.
-	enclave, err := machine.CreateEnclave("media-app", []byte("media-app-v3"), 0)
-	if err != nil {
-		return err
-	}
 	service.TrustMeasurement(enclave.Measurement())
 
 	// Vendor side: provision the encrypted kernel.
@@ -86,27 +87,7 @@ func run() error {
 	fmt.Printf("plain PCL: decrypted once, then ran %d times with zero further checks\n", runs)
 
 	// --- Lease-gated PCL ---------------------------------------------
-	remote, err := slremote.NewServer(slremote.DefaultConfig(), nil)
-	if err != nil {
-		return err
-	}
-	if err := remote.RegisterLicense("lic-codec", lease.CountBased, 25); err != nil {
-		return err
-	}
-	local, err := sllocal.New(sllocal.Config{TokenBatch: 1}, sllocal.Deps{
-		Machine: machine, Platform: platform, Remote: remote,
-	})
-	if err != nil {
-		return err
-	}
-	if err := local.Init(); err != nil {
-		return err
-	}
-	manager, err := slmanager.New(enclave, local)
-	if err != nil {
-		return err
-	}
-	gated, err := pcl.NewLoader(enclave, platform, keyServer, manager)
+	gated, err := pcl.NewLoader(enclave, platform, keyServer, app.Manager())
 	if err != nil {
 		return err
 	}

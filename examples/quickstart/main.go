@@ -86,9 +86,6 @@ func run() error {
 		return err
 	}
 	app.Guard("render_report", license)
-	// Restart built a fresh SL-Local instance; point its metric callbacks
-	// at the registry again (re-registration replaces the old instance's).
-	sys.Local().ExposeMetrics(metrics, nil)
 	fmt.Println("restarted: lease counters restored from the committed tree")
 
 	// Burn through the rest of the license.

@@ -186,6 +186,29 @@ func TestFSFaultAfterCountsMatchingOps(t *testing.T) {
 	}
 }
 
+// TestTornWriteOutranksDueShortWrite is a torn write armed on the append
+// where an earlier ShortWrite's countdown runs out. The crash must fire:
+// otherwise the torn write stays armed until a Revive disarms it, and a
+// run that schedules a tear never tears.
+func TestTornWriteOutranksDueShortWrite(t *testing.T) {
+	dir := t.TempDir()
+	fsys := NewFS(nil)
+	s, _ := openStore(t, fsys, dir)
+	defer s.Close()
+
+	fsys.Arm(FSFault{Kind: ShortWrite, After: 1})
+	if err := s.Append([]byte("fine")); err != nil {
+		t.Fatalf("append before the countdown ends: %v", err)
+	}
+	fsys.Arm(FSFault{Kind: TornWrite})
+	if err := s.Append([]byte("doomed")); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("append with a short and a torn write due: got %v, want ErrCrashed", err)
+	}
+	if tr := fsys.Trace(); len(tr) != 1 || tr[0].Kind != TornWrite {
+		t.Fatalf("trace = %v, want one torn-write", tr)
+	}
+}
+
 // connPair builds a wrapped client→server byte path over real TCP.
 func connPair(t *testing.T, d *NetDirector) (wrapped net.Conn, peer net.Conn) {
 	t.Helper()

@@ -45,6 +45,10 @@ type FSFault struct {
 	After int
 }
 
+// crashes reports whether the fault crash-stops the filesystem when it
+// fires.
+func (f FSFault) crashes() bool { return f.Kind == TornWrite || f.Kind == CrashStop }
+
 func (f FSFault) matches(op string) bool {
 	switch f.Kind {
 	case TornWrite, ShortWrite:
@@ -64,9 +68,11 @@ const (
 )
 
 // FS is a store.FS that forwards to an underlying filesystem until an
-// armed fault matches. Faults are one-shot and fire in arming order. All
-// state is keyed to the operation counter, so a fixed operation sequence
-// yields a fixed fault trace.
+// armed fault matches. Faults are one-shot and fire in arming order, except
+// that a due crash (TornWrite, CrashStop) outranks an earlier-armed fault
+// due on the same operation, which then stays due. All state is keyed to
+// the operation counter, so a fixed operation sequence yields a fixed fault
+// trace.
 type FS struct {
 	under store.FS
 
@@ -137,22 +143,37 @@ func (c *FS) next(op, path string) (string, error) {
 	if c.crashed {
 		return "", ErrCrashed
 	}
+	// An operation counts down the matching faults up to the first one
+	// due; past it, only a due crash can still take the operation.
+	due := -1
 	for i, a := range c.armed {
 		if !a.fault.matches(op) {
+			continue
+		}
+		if due >= 0 {
+			if a.remaining == 0 && a.fault.crashes() {
+				due = i
+				break
+			}
 			continue
 		}
 		if a.remaining > 0 {
 			a.remaining--
 			continue
 		}
-		c.armed = append(c.armed[:i], c.armed[i+1:]...)
-		c.trace = append(c.trace, Event{Domain: "fs", Op: c.ops, Kind: a.fault.Kind, Detail: filepath.Base(path)})
-		if a.fault.Kind == TornWrite || a.fault.Kind == CrashStop {
-			c.crashed = true
+		due = i
+		if a.fault.crashes() {
+			break
 		}
-		return a.fault.Kind, nil
 	}
-	return "", nil
+	if due < 0 {
+		return "", nil
+	}
+	f := c.armed[due].fault
+	c.armed = append(c.armed[:due], c.armed[due+1:]...)
+	c.trace = append(c.trace, Event{Domain: "fs", Op: c.ops, Kind: f.Kind, Detail: filepath.Base(path)})
+	c.crashed = f.crashes()
+	return f.Kind, nil
 }
 
 // FS interface. Non-file operations only ever take the pass-through or

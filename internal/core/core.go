@@ -50,19 +50,17 @@ type Config struct {
 }
 
 // System is one client machine running SecureLease plus its (bound)
-// license server. Systems are safe for concurrent use.
+// license server. Its one SL-Local service lives as long as the System and
+// restarts in place. Systems are safe for concurrent use.
 type System struct {
 	machine  *sgx.Machine
 	platform *attest.Platform
-	service  *attest.Service
 	remote   *slremote.Server
 	local    *sllocal.Service
-	link     *chaos.Link
-	state    *sllocal.UntrustedState
-	cfgLocal sllocal.Config
 
-	mu   sync.Mutex
-	apps map[string]*App
+	mu      sync.Mutex
+	running bool
+	apps    map[string]*App
 }
 
 // App is one protected application: an enclave for its secure region plus
@@ -98,77 +96,48 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: platform: %w", err)
 	}
+	// Trust the SL-Local enclave's measurement so remote attestation at
+	// init succeeds.
 	service := attest.NewService()
 	service.RegisterPlatform(platform)
+	service.TrustMeasurement(sgx.MeasurementOf(sllocal.EnclaveCodeIdentity))
 
 	remote, err := slremote.NewServer(cfg.Remote, service)
 	if err != nil {
 		return nil, fmt.Errorf("core: SL-Remote: %w", err)
 	}
-
+	var api sllocal.RemoteAPI = remote
+	if cfg.Network != nil {
+		api = cfg.Network.Wrap(remote, machine)
+	}
+	local, err := sllocal.New(cfg.Local, sllocal.Deps{Machine: machine, Platform: platform, Remote: api})
+	if err != nil {
+		return nil, fmt.Errorf("core: SL-Local: %w", err)
+	}
 	sys := &System{
 		machine:  machine,
 		platform: platform,
-		service:  service,
 		remote:   remote,
-		link:     cfg.Network,
-		state:    &sllocal.UntrustedState{},
-		cfgLocal: cfg.Local,
+		local:    local,
 		apps:     make(map[string]*App),
 	}
-	if err := sys.startLocalLocked(); err != nil {
+	if err := sys.Restart(); err != nil {
 		return nil, err
 	}
 	return sys, nil
 }
 
-// startLocalLocked builds and initializes a fresh SL-Local over the
-// persistent untrusted state. s.mu must be held (or s still unpublished,
-// as in New): it installs s.local, which Shutdown/Crash/Running read
-// under the same lock.
-func (s *System) startLocalLocked() error {
-	var remote sllocal.RemoteAPI = s.remote
-	if s.link != nil {
-		remote = s.link.Wrap(s.remote, s.machine)
-	}
-	local, err := sllocal.New(s.cfgLocal, sllocal.Deps{
-		Machine:  s.machine,
-		Platform: s.platform,
-		Remote:   remote,
-		State:    s.state,
-	})
-	if err != nil {
-		return fmt.Errorf("core: SL-Local: %w", err)
-	}
-	// Trust the SL-Local enclave's measurement so remote attestation at
-	// init succeeds: derive the measurement from a probe enclave with the
-	// same code identity.
-	probe, err := s.machine.CreateEnclave("sl-local-probe", sllocal.EnclaveCodeIdentity, 0)
-	if err != nil {
-		return fmt.Errorf("core: probe enclave: %w", err)
-	}
-	s.service.TrustMeasurement(probe.Measurement())
-	probe.Destroy()
-
-	if err := local.Init(); err != nil {
-		return fmt.Errorf("core: initializing SL-Local: %w", err)
-	}
-	s.local = local
-	return nil
-}
-
 // Machine returns the simulated client machine.
 func (s *System) Machine() *sgx.Machine { return s.machine }
+
+// Platform returns the machine's attestation platform.
+func (s *System) Platform() *attest.Platform { return s.platform }
 
 // Remote returns the license server.
 func (s *System) Remote() *slremote.Server { return s.remote }
 
 // Local returns the SL-Local service.
-func (s *System) Local() *sllocal.Service {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.local
-}
+func (s *System) Local() *sllocal.Service { return s.local }
 
 // RegisterLicense registers a license with the server.
 func (s *System) RegisterLicense(id string, kind lease.Kind, totalGCL int64) error {
@@ -186,7 +155,7 @@ func (s *System) LaunchApp(name string) (*App, error) {
 	if _, dup := s.apps[name]; dup {
 		return nil, fmt.Errorf("core: app %q already launched", name)
 	}
-	if s.local == nil {
+	if !s.running {
 		return nil, errors.New("core: SL-Local is not running")
 	}
 	enclave, err := s.machine.CreateEnclave(name+"-secure", []byte("app-code/"+name), 0)
@@ -216,14 +185,14 @@ func (s *System) App(name string) *App {
 func (s *System) Shutdown() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.local == nil {
+	if !s.running {
 		return errors.New("core: already shut down")
 	}
 	if err := s.local.Shutdown(); err != nil {
 		return err
 	}
 	s.teardownAppsLocked()
-	s.local = nil
+	s.running = false
 	return nil
 }
 
@@ -232,30 +201,32 @@ func (s *System) Shutdown() error {
 func (s *System) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.local != nil {
-		s.local.Crash()
-		s.local = nil
-	}
+	s.local.Crash()
+	s.running = false
 	s.teardownAppsLocked()
 }
 
-// Restart brings SL-Local back up over the persisted untrusted state
-// (restoring the lease tree after a graceful shutdown; starting fresh
-// after a crash).
+// Restart starts SL-Local's next incarnation over the persisted untrusted
+// state (restoring the lease tree after a graceful shutdown; starting
+// fresh after a crash). NewSystem starts the first one the same way.
 func (s *System) Restart() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.local != nil {
+	if s.running {
 		return errors.New("core: system is running")
 	}
-	return s.startLocalLocked()
+	if err := s.local.Init(); err != nil {
+		return fmt.Errorf("core: initializing SL-Local: %w", err)
+	}
+	s.running = true
+	return nil
 }
 
 // Running reports whether SL-Local is up.
 func (s *System) Running() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.local != nil
+	return s.running
 }
 
 func (s *System) teardownAppsLocked() {

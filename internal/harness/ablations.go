@@ -3,7 +3,7 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/attest"
+	"repro/internal/core"
 	"repro/internal/lease"
 	"repro/internal/partition"
 	"repro/internal/sgx"
@@ -138,30 +138,16 @@ func AblationBatch(checks int) (*AblationBatchResult, error) {
 	}
 	res := &AblationBatchResult{Checks: checks}
 	for _, batch := range []int{1, 2, 5, 10, 20, 50} {
-		m, err := sgx.NewMachine(sgx.MachineConfig{Name: "ablate", EPCBytes: 8 << 20})
-		if err != nil {
-			return nil, err
-		}
-		plat, err := attest.NewPlatform("ablate", m)
-		if err != nil {
-			return nil, err
-		}
-		remote, err := slremote.NewServer(slremote.DefaultConfig(), nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := remote.RegisterLicense("lic", lease.CountBased, int64(checks)*10); err != nil {
-			return nil, err
-		}
-		svc, err := sllocal.New(sllocal.Config{TokenBatch: batch}, sllocal.Deps{
-			Machine: m, Platform: plat, Remote: remote,
+		sys, err := core.NewSystem(core.Config{
+			MachineName: "ablate", EPCBytes: 8 << 20, Local: sllocal.Config{TokenBatch: batch},
 		})
 		if err != nil {
 			return nil, err
 		}
-		if err := svc.Init(); err != nil {
+		if err := sys.RegisterLicense("lic", lease.CountBased, int64(checks)*10); err != nil {
 			return nil, err
 		}
+		m, svc := sys.Machine(), sys.Local()
 		app, err := m.CreateEnclave("app", []byte("app"), 0)
 		if err != nil {
 			return nil, err
@@ -230,33 +216,19 @@ func AblationD(checks int) (*AblationDResult, error) {
 	}
 	res := &AblationDResult{Checks: checks}
 	for _, d := range []float64{1, 2, 4, 8, 16} {
-		m, err := sgx.NewMachine(sgx.MachineConfig{Name: "ablate-d", EPCBytes: 8 << 20})
-		if err != nil {
-			return nil, err
-		}
-		plat, err := attest.NewPlatform("ablate-d", m)
-		if err != nil {
-			return nil, err
-		}
 		cfg := slremote.DefaultConfig()
 		cfg.D = d
-		remote, err := slremote.NewServer(cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := remote.RegisterLicense("lic", lease.CountBased, int64(checks)*2); err != nil {
-			return nil, err
-		}
-		svc, err := sllocal.New(sllocal.Config{TokenBatch: 10}, sllocal.Deps{
-			Machine: m, Platform: plat, Remote: remote,
+		sys, err := core.NewSystem(core.Config{
+			MachineName: "ablate-d", EPCBytes: 8 << 20, Local: sllocal.Config{TokenBatch: 10}, Remote: cfg,
 		})
 		if err != nil {
 			return nil, err
 		}
-		if err := svc.Init(); err != nil {
+		if err := sys.RegisterLicense("lic", lease.CountBased, int64(checks)*2); err != nil {
 			return nil, err
 		}
-		app, err := m.CreateEnclave("app", []byte("app"), 0)
+		remote, svc := sys.Remote(), sys.Local()
+		app, err := sys.Machine().CreateEnclave("app", []byte("app"), 0)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -54,6 +55,18 @@ func TestAblationBatch(t *testing.T) {
 	if len(res.Rows) != 6 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
+	// The sweep runs on the simulated clock, so every row is exact.
+	want := []AblationBatchRow{
+		{Batch: 1, LocalAttests: 1000, LeaseCycles: 517000000},
+		{Batch: 2, LocalAttests: 500, LeaseCycles: 258500000},
+		{Batch: 5, LocalAttests: 200, LeaseCycles: 103400000},
+		{Batch: 10, LocalAttests: 100, LeaseCycles: 51700000},
+		{Batch: 20, LocalAttests: 50, LeaseCycles: 25850000},
+		{Batch: 50, LocalAttests: 20, LeaseCycles: 10340000},
+	}
+	if !reflect.DeepEqual(res.Rows, want) {
+		t.Errorf("rows = %+v\nwant %+v", res.Rows, want)
+	}
 	// Attestations must decrease monotonically with batch size, and the
 	// batch-10 row must show ~10× fewer than batch-1.
 	for i := 1; i < len(res.Rows); i++ {
@@ -92,6 +105,16 @@ func TestAblationD(t *testing.T) {
 	}
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d", len(res.Rows))
+	}
+	want := []AblationDRow{
+		{D: 1, Renewals: 1, MaxOutstanding: 8000},
+		{D: 2, Renewals: 1, MaxOutstanding: 4000},
+		{D: 4, Renewals: 2, MaxOutstanding: 4000},
+		{D: 8, Renewals: 4, MaxOutstanding: 4000},
+		{D: 16, Renewals: 8, MaxOutstanding: 4000},
+	}
+	if !reflect.DeepEqual(res.Rows, want) {
+		t.Errorf("rows = %+v\nwant %+v", res.Rows, want)
 	}
 	// Larger D → more renewals, smaller crash exposure (both monotone).
 	for i := 1; i < len(res.Rows); i++ {

@@ -6,12 +6,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/attest"
+	"repro/internal/core"
 	"repro/internal/lease"
 	"repro/internal/obs"
 	"repro/internal/sgx"
 	"repro/internal/sllocal"
-	"repro/internal/slremote"
 )
 
 // Figure8Point is one bar of Figure 8: allocation throughput for one
@@ -62,15 +61,9 @@ func Figure8(window time.Duration) (*Figure8Result, error) {
 }
 
 func figure8Point(enclaves int, sameLease bool, batch int, window time.Duration) (Figure8Point, error) {
-	m, err := sgx.NewMachine(sgx.MachineConfig{Name: "fig8", EPCBytes: 16 << 20})
-	if err != nil {
-		return Figure8Point{}, err
-	}
-	plat, err := attest.NewPlatform("fig8", m)
-	if err != nil {
-		return Figure8Point{}, err
-	}
-	remote, err := slremote.NewServer(slremote.DefaultConfig(), nil)
+	sys, err := core.NewSystem(core.Config{
+		MachineName: "fig8", EPCBytes: 16 << 20, Local: sllocal.Config{TokenBatch: batch},
+	})
 	if err != nil {
 		return Figure8Point{}, err
 	}
@@ -86,21 +79,13 @@ func figure8Point(enclaves int, sameLease bool, batch int, window time.Duration)
 	registered := make(map[string]bool, enclaves)
 	for _, lic := range licenses {
 		if !registered[lic] {
-			if err := remote.RegisterLicense(lic, lease.CountBased, 1<<50); err != nil {
+			if err := sys.RegisterLicense(lic, lease.CountBased, 1<<50); err != nil {
 				return Figure8Point{}, err
 			}
 			registered[lic] = true
 		}
 	}
-	svc, err := sllocal.New(sllocal.Config{TokenBatch: batch}, sllocal.Deps{
-		Machine: m, Platform: plat, Remote: remote,
-	})
-	if err != nil {
-		return Figure8Point{}, err
-	}
-	if err := svc.Init(); err != nil {
-		return Figure8Point{}, err
-	}
+	svc := sys.Local()
 
 	// Measure through the same metrics the live daemons export: the
 	// allocation count is the delta of sllocal_tokens_issued_total over
@@ -111,7 +96,7 @@ func figure8Point(enclaves int, sameLease bool, batch int, window time.Duration)
 
 	apps := make([]*sgx.Enclave, enclaves)
 	for i := range apps {
-		apps[i], err = m.CreateEnclave(fmt.Sprintf("app-%d", i), []byte("fig8-app"), 0)
+		apps[i], err = sys.Machine().CreateEnclave(fmt.Sprintf("app-%d", i), []byte("fig8-app"), 0)
 		if err != nil {
 			return Figure8Point{}, err
 		}

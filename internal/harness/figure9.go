@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/attest"
+	"repro/internal/core"
 	"repro/internal/lease"
 	"repro/internal/partition"
 	"repro/internal/sgx"
-	"repro/internal/sllocal"
-	"repro/internal/slmanager"
-	"repro/internal/slremote"
 	"repro/internal/workloads"
 )
 
@@ -160,19 +157,12 @@ func Figure9(scale int, seed int64) (*Figure9Result, error) {
 
 // runLeasePath executes `checks` license checks through a real
 // SL-Remote → SL-Local → SL-Manager stack on a fresh machine and returns
-// the virtual cycles consumed by the lease machinery, the fraction of
-// that time spent in local allocation (vs renewals), and the number of
-// remote attestations performed.
+// the virtual cycles consumed by the lease machinery (SL-Local's init
+// included: the machine's clock starts at zero), the fraction of that
+// time spent in local allocation (vs renewals), and the number of remote
+// attestations performed.
 func runLeasePath(license string, checks int, model sgx.CostModel) (cycles int64, localShare float64, ras int64, err error) {
-	m, err := sgx.NewMachine(sgx.MachineConfig{Name: "fig9", EPCBytes: 16 << 20, Model: model})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	plat, err := attest.NewPlatform("fig9", m)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	remote, err := slremote.NewServer(slremote.DefaultConfig(), nil)
+	sys, err := core.NewSystem(core.Config{MachineName: "fig9", EPCBytes: 16 << 20, Model: model})
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -182,33 +172,20 @@ func runLeasePath(license string, checks int, model sgx.CostModel) (cycles int64
 	if total < 2000 {
 		total = 2000
 	}
-	if err := remote.RegisterLicense(license, lease.CountBased, total); err != nil {
+	if err := sys.RegisterLicense(license, lease.CountBased, total); err != nil {
 		return 0, 0, 0, err
 	}
-	svc, err := sllocal.New(sllocal.DefaultConfig(), sllocal.Deps{
-		Machine: m, Platform: plat, Remote: remote,
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	start := m.Clock().Now()
-	if err := svc.Init(); err != nil {
-		return 0, 0, 0, err
-	}
-	app, err := m.CreateEnclave("fig9-app", []byte("fig9-app"), 0)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	mgr, err := slmanager.New(app, svc)
+	app, err := sys.LaunchApp("fig9")
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	for i := 0; i < checks; i++ {
-		if err := mgr.Authorize(license); err != nil {
+		if err := app.Authorize(license); err != nil {
 			return 0, 0, 0, fmt.Errorf("check %d: %w", i, err)
 		}
 	}
-	cycles = m.Clock().Since(start)
+	m := sys.Machine()
+	cycles = m.Clock().Now()
 	stats := m.Stats()
 	ras = stats.RemoteAttests
 	raCycles := ras * model.DurationToCycles(model.RemoteAttest)

@@ -62,28 +62,17 @@ func Fleet(clients []FleetClient, epochs int, totalGCL int64, seed int64) (*Flee
 
 	type node struct {
 		profile FleetClient
-		machine *sgx.Machine
-		plat    *attest.Platform
-		remote  *chaos.Remote
-		state   *sllocal.UntrustedState
 		svc     *sllocal.Service
 		app     *sgx.Enclave
 		down    bool
 	}
 	nodes := make([]*node, len(clients))
 	startNode := func(n *node) error {
-		svc, err := sllocal.New(sllocal.Config{TokenBatch: 10}, sllocal.Deps{
-			Machine: n.machine, Platform: n.plat, Remote: n.remote, State: n.state,
-		})
-		if err != nil {
+		if err := n.svc.Init(); err != nil {
 			return err
 		}
-		if err := svc.Init(); err != nil {
-			return err
-		}
-		n.svc = svc
 		n.down = false
-		return remote.SetClientProfile(svc.SLID(), n.profile.Health, n.profile.Reliability, n.profile.Weight)
+		return remote.SetClientProfile(n.svc.SLID(), n.profile.Health, n.profile.Reliability, n.profile.Weight)
 	}
 	for i, c := range clients {
 		m, err := sgx.NewMachine(sgx.MachineConfig{Name: c.Name, EPCBytes: 8 << 20})
@@ -94,13 +83,13 @@ func Fleet(clients []FleetClient, epochs int, totalGCL int64, seed int64) (*Flee
 		if err != nil {
 			return nil, err
 		}
-		n := &node{
-			profile: c,
-			machine: m,
-			plat:    plat,
-			remote:  chaos.NewLink(c.Reliability, seed+int64(i)).Wrap(remote, m),
-			state:   &sllocal.UntrustedState{},
+		svc, err := sllocal.New(sllocal.Config{TokenBatch: 10}, sllocal.Deps{
+			Machine: m, Platform: plat, Remote: chaos.NewLink(c.Reliability, seed+int64(i)).Wrap(remote, m),
+		})
+		if err != nil {
+			return nil, err
 		}
+		n := &node{profile: c, svc: svc}
 		if err := startNode(n); err != nil {
 			return nil, fmt.Errorf("harness: starting %s: %w", c.Name, err)
 		}

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sgx"
+	"repro/internal/workloads"
 )
 
 func TestTable1ShapeAndRender(t *testing.T) {
@@ -201,6 +204,49 @@ func TestFigure9Shape(t *testing.T) {
 	for _, want := range []string{"Figure 9", "paper: 66.34%", "paper: 19.55%"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q", want)
+		}
+	}
+}
+
+// TestLeasePathPinned pins Figure 9's lease-path measurements — virtual
+// cycles, local-allocation share and remote attestations per workload —
+// at exact values. The lease path runs on the simulated clock, so any
+// change to how the stack is composed or initialized that moves a single
+// charged cycle shows here.
+func TestLeasePathPinned(t *testing.T) {
+	want := map[string]struct {
+		checks     int
+		cycles     int64
+		localShare float64
+		ras        int64
+	}{
+		"bfs":        {1000, 30506301500, 0.0018455695129086691, 3},
+		"btree":      {1000, 30506301500, 0.0018455695129086691, 3},
+		"hashjoin":   {1000, 30506301500, 0.0018455695129086691, 3},
+		"openssl":    {1000, 30506301500, 0.0018455695129086691, 3},
+		"pagerank":   {1000, 30506301500, 0.0018455695129086691, 3},
+		"blockchain": {1000, 30506301500, 0.0018455695129086691, 3},
+		"svm":        {1000, 30506301500, 0.0018455695129086691, 3},
+		"mapreduce":  {10000, 30971601500, 0.016841282811933377, 3},
+		"keyvalue":   {50000, 33039601500, 0.07837871470695552, 3},
+		"jsonparser": {10000, 30971601500, 0.016841282811933377, 3},
+		"matmult":    {2000, 30558001500, 0.003534311627021813, 3},
+	}
+	model := sgx.DefaultCostModel()
+	for _, spec := range workloads.All() {
+		w, ok := want[spec.Name]
+		if !ok {
+			t.Errorf("%s: no pinned row", spec.Name)
+			continue
+		}
+		checks := figure9Checks(spec, 1)
+		cycles, share, ras, err := runLeasePath(spec.License, checks, model)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		if checks != w.checks || cycles != w.cycles || share != w.localShare || ras != w.ras {
+			t.Errorf("%s: checks %d, cycles %d, local share %v, RAs %d; want %d, %d, %v, %d",
+				spec.Name, checks, cycles, share, ras, w.checks, w.cycles, w.localShare, w.ras)
 		}
 	}
 }

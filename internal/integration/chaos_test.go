@@ -154,18 +154,16 @@ func (d *chaosDialer) licenseInfo(id string) error {
 
 var _ sllocal.RemoteAPI = (*chaosDialer)(nil)
 
-// swarmClient is one SL-Local machine in the swarm: its untrusted state
-// and app enclave persist across service incarnations (restarts and
-// crashes), like a real machine's disk does.
+// swarmClient is one SL-Local machine in the swarm: one service whose
+// incarnations (restarts and crashes) run over the same untrusted state,
+// like a real machine's disk, and an app enclave that outlives them.
 type swarmClient struct {
-	idx   int
-	m     *sgx.Machine
-	plat  *attest.Platform
-	app   *sgx.Enclave
-	state *sllocal.UntrustedState
-	conn  *chaosDialer
-	svc   *sllocal.Service // nil while the client is down
-	slid  string
+	idx  int
+	app  *sgx.Enclave
+	conn *chaosDialer
+	svc  *sllocal.Service
+	up   bool
+	slid string
 }
 
 // swarmHarness runs one seeded swarm: a durable SL-Remote behind a chaos
@@ -263,13 +261,16 @@ func (h *swarmHarness) kill() {
 }
 
 // restartServer kills and recovers the server, asserting the recovered
-// ledger is bit-identical to the pre-kill state. Stats are excluded: denial
-// counters are observability, not ledger state, and are not WAL-logged.
+// ledger is bit-identical to the pre-kill state. That state is read after
+// the kill: a request whose client gave up at its deadline may still be in
+// flight at the barrier, and the kill's drain lets it land. Stats are
+// excluded: denial counters are observability, not ledger state, and are
+// not WAL-logged.
 func (h *swarmHarness) restartServer(step int) {
 	h.t.Helper()
+	h.kill()
 	want := h.remote.ExportState()
 	want.Stats = slremote.ServerStats{}
-	h.kill()
 	h.fsys.Revive()
 	h.boot()
 	got := h.remote.ExportState()
@@ -289,20 +290,14 @@ func (h *swarmHarness) restartServer(step int) {
 // successful init the server must no longer hold a key for this SLID.
 func (h *swarmHarness) ensureClient(c *swarmClient) error {
 	h.t.Helper()
-	if c.svc != nil {
+	if c.up {
 		return nil
 	}
-	svc, err := sllocal.New(sllocal.Config{TokenBatch: 8}, sllocal.Deps{
-		Machine: c.m, Platform: c.plat, Remote: c.conn, State: c.state,
-	})
-	if err != nil {
-		h.fatalf("sllocal.New(client %d): %v", c.idx, err)
-	}
-	if err := svc.Init(); err != nil {
+	if err := c.svc.Init(); err != nil {
 		return err
 	}
-	c.svc = svc
-	c.slid = svc.SLID()
+	c.up = true
+	c.slid = c.svc.SLID()
 	if st := h.remote.ExportState(); st.Clients[c.slid].HasEscrow {
 		h.fatalf("client %d (%s): escrowed key not released on init (single-use violated)", c.idx, c.slid)
 	}
@@ -313,10 +308,8 @@ func (h *swarmHarness) ensureClient(c *swarmClient) error {
 // drops its connection. Nothing tells the server: the client's next init
 // finds no escrowed key and applies the pessimistic forfeit.
 func (h *swarmHarness) crashClient(c *swarmClient) {
-	if c.svc != nil {
-		c.svc.Crash()
-		c.svc = nil
-	}
+	c.svc.Crash()
+	c.up = false
 	c.conn.reset()
 	h.crashes.Add(1)
 }
@@ -372,14 +365,14 @@ func (h *swarmHarness) runStep(i int, st chaos.Step) {
 		_ = h.remote.SetClientProfile(c.slid, st.Health, st.Reliability, st.Weight)
 	case chaos.OpClientRestart:
 		c := h.clients[st.Client]
-		if c.svc != nil {
+		if c.up {
 			if err := c.svc.Shutdown(); err != nil {
 				// Escrow unreachable mid-shutdown: the machine is now in an
 				// undefined state, which in this model is a crash.
 				h.crashClient(c)
 				return
 			}
-			c.svc = nil
+			c.up = false
 		}
 		if err := h.ensureClient(c); err != nil {
 			h.denials.Add(1)
@@ -470,6 +463,7 @@ func newSwarm(t *testing.T, seed int64, row swarmRow) *swarmHarness {
 	if err := h.remote.RegisterLicense("lic-b", lease.CountBased, 3000); err != nil {
 		h.fatalf("RegisterLicense: %v", err)
 	}
+	h.service.TrustMeasurement(sgx.MeasurementOf(sllocal.EnclaveCodeIdentity))
 	var shared *chaosDialer
 	if row.lanes {
 		shared = &chaosDialer{h: h, rc: ratls.Insecure()}
@@ -484,12 +478,6 @@ func newSwarm(t *testing.T, seed int64, row swarmRow) *swarmHarness {
 			h.fatalf("NewPlatform %d: %v", i, err)
 		}
 		h.service.RegisterPlatform(plat)
-		probe, err := m.CreateEnclave("probe", sllocal.EnclaveCodeIdentity, 0)
-		if err != nil {
-			h.fatalf("probe %d: %v", i, err)
-		}
-		h.service.TrustMeasurement(probe.Measurement())
-		probe.Destroy()
 		app, err := m.CreateEnclave(fmt.Sprintf("app-%d", i), []byte("swarm-app"), 0)
 		if err != nil {
 			h.fatalf("app %d: %v", i, err)
@@ -501,11 +489,11 @@ func newSwarm(t *testing.T, seed int64, row swarmRow) *swarmHarness {
 		if attested {
 			conn.rc = h.channelOn(m, plat, fmt.Sprintf("swarm-%d", i))
 		}
-		h.clients = append(h.clients, &swarmClient{
-			idx: i, m: m, plat: plat, app: app,
-			state: &sllocal.UntrustedState{},
-			conn:  conn,
-		})
+		svc, err := sllocal.New(sllocal.Config{TokenBatch: 8}, sllocal.Deps{Machine: m, Platform: plat, Remote: conn})
+		if err != nil {
+			h.fatalf("sllocal.New(client %d): %v", i, err)
+		}
+		h.clients = append(h.clients, &swarmClient{idx: i, app: app, conn: conn, svc: svc})
 	}
 
 	if attested {

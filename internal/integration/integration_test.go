@@ -206,12 +206,7 @@ func TestServerLossMidSession(t *testing.T) {
 		t.Fatalf("NewPlatform: %v", err)
 	}
 	service.RegisterPlatform(plat)
-	probe, err := m.CreateEnclave("probe", sllocal.EnclaveCodeIdentity, 0)
-	if err != nil {
-		t.Fatalf("probe: %v", err)
-	}
-	service.TrustMeasurement(probe.Measurement())
-	probe.Destroy()
+	service.TrustMeasurement(sgx.MeasurementOf(sllocal.EnclaveCodeIdentity))
 
 	client, err := wire.Dial(ln.Addr().String(), ratls.Insecure())
 	if err != nil {
@@ -387,12 +382,7 @@ func TestTwoClientsShareLicenseOverTCP(t *testing.T) {
 			t.Fatalf("NewPlatform: %v", err)
 		}
 		service.RegisterPlatform(plat)
-		probe, err := m.CreateEnclave("probe", sllocal.EnclaveCodeIdentity, 0)
-		if err != nil {
-			t.Fatalf("probe: %v", err)
-		}
-		service.TrustMeasurement(probe.Measurement())
-		probe.Destroy()
+		service.TrustMeasurement(sgx.MeasurementOf(sllocal.EnclaveCodeIdentity))
 		cl, err := wire.Dial(ln.Addr().String(), ratls.Insecure())
 		if err != nil {
 			t.Fatalf("Dial: %v", err)

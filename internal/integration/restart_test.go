@@ -87,12 +87,7 @@ func TestRestartCycleRecoversLedgerAndEscrow(t *testing.T) {
 		t.Fatalf("NewPlatform: %v", err)
 	}
 	service.RegisterPlatform(plat)
-	probe, err := m.CreateEnclave("probe", sllocal.EnclaveCodeIdentity, 0)
-	if err != nil {
-		t.Fatalf("probe: %v", err)
-	}
-	service.TrustMeasurement(probe.Measurement())
-	probe.Destroy()
+	service.TrustMeasurement(sgx.MeasurementOf(sllocal.EnclaveCodeIdentity))
 
 	state := &sllocal.UntrustedState{} // survives the client "restart" below
 	cl1, err := wire.Dial(n1.Addr(), ratls.Insecure())

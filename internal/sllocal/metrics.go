@@ -92,12 +92,22 @@ func (s *Service) tracerLoad() *obs.Tracer {
 	return nil
 }
 
-func (s *Service) treeStats() (st leasetree.TreeStats) {
+// treeStats sums the current tree's counters onto those of the trees
+// earlier incarnations left behind, so the exported counters never fall.
+func (s *Service) treeStats() leasetree.TreeStats {
 	s.mu.Lock()
-	tr := s.tree
+	tr, st := s.tree, s.treeBase
 	s.mu.Unlock()
-	if tr == nil {
-		return st
+	if tr != nil {
+		st = addTreeStats(st, tr.Stats())
 	}
-	return tr.Stats()
+	return st
+}
+
+func addTreeStats(a, b leasetree.TreeStats) leasetree.TreeStats {
+	return leasetree.TreeStats{
+		Commits:   a.Commits + b.Commits,
+		Restores:  a.Restores + b.Restores,
+		Evictions: a.Evictions + b.Evictions,
+	}
 }

@@ -37,7 +37,7 @@ var EnclaveCodeIdentity = []byte("securelease/sl-local/v1")
 var (
 	// ErrNotInitialized reports use before Init.
 	ErrNotInitialized = errors.New("sllocal: service not initialized")
-	// ErrStopped reports use after Shutdown or Crash.
+	// ErrStopped reports use after Shutdown or Crash, until the next Init.
 	ErrStopped = errors.New("sllocal: service stopped")
 	// ErrLeaseDenied reports that no valid lease could be produced for the
 	// license — expired locally and renewal refused by SL-Remote.
@@ -85,9 +85,9 @@ func (c Config) withDefaults() Config {
 
 // UntrustedState is SL-Local's persistent state on the client machine's
 // untrusted storage: the plaintext SLID file and the committed lease-tree
-// snapshot (both useless without SL-Remote's escrowed root key). Pass the
-// same UntrustedState to successive Service instances to simulate process
-// restarts on one machine.
+// snapshot (both useless without SL-Remote's escrowed root key). A Service
+// restarts in place over its own copy; a copy handed to a new Service is
+// the same machine's disk seen by another process.
 type UntrustedState struct {
 	SLID     string
 	Snapshot *leasetree.Snapshot
@@ -135,12 +135,15 @@ type Deps struct {
 	// Remote is the license server: an embedded *slremote.Server or the
 	// wire package's TCP client.
 	Remote RemoteAPI
-	// State is the persistent untrusted state; nil means a fresh machine.
+	// State is the machine's persistent untrusted state, read at every
+	// Init and written at Shutdown. New allocates an empty one (a fresh
+	// machine) when it is nil.
 	State *UntrustedState
 }
 
-// Service is one SL-Local instance. It is safe for concurrent use after
-// Init.
+// Service is SL-Local for the life of one machine process: Init starts an
+// incarnation, Shutdown or Crash ends it, and the next Init restarts over
+// the same untrusted state. It is safe for concurrent use after Init.
 type Service struct {
 	cfg  Config
 	deps Deps
@@ -156,8 +159,11 @@ type Service struct {
 	curBlk  *leasetree.Block
 	nonce   uint64
 
-	stats   Stats
-	metrics atomic.Pointer[svcMetrics]
+	// stats and treeBase (the tree counters of earlier incarnations) count
+	// the whole process, across restarts.
+	stats    Stats
+	treeBase leasetree.TreeStats
+	metrics  atomic.Pointer[svcMetrics]
 }
 
 type serviceState uint8
@@ -185,6 +191,9 @@ func New(cfg Config, deps Deps) (*Service, error) {
 	}
 	if deps.Platform.Machine() != deps.Machine {
 		return nil, errors.New("sllocal: platform is bound to a different machine")
+	}
+	if deps.State == nil {
+		deps.State = &UntrustedState{}
 	}
 	return &Service{cfg: cfg.withDefaults(), deps: deps}, nil
 }
@@ -225,15 +234,14 @@ func (s *Service) TreeFootprint() int64 {
 // Init performs SL-Local initialization (Section 5.2.4): create the
 // enclave, remote-attest with SL-Remote via a quote, receive the SLID and
 // (if a graceful shutdown preceded) the old backup key, and restore the
-// saved lease tree with it.
+// saved lease tree with it. After Shutdown or Crash it restarts the
+// service: nothing of the last incarnation's enclave memory survives, only
+// the untrusted state.
 func (s *Service) Init() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state == stateRunning {
 		return nil
-	}
-	if s.state == stateStopped {
-		return ErrStopped
 	}
 
 	enclave, err := s.deps.Machine.CreateEnclave("sl-local", EnclaveCodeIdentity, s.cfg.TreePages)
@@ -248,10 +256,7 @@ func (s *Service) Init() error {
 		return fmt.Errorf("sllocal: creating quote: %w", err)
 	}
 
-	var slid string
-	if s.deps.State != nil {
-		slid = s.deps.State.SLID
-	}
+	slid := s.deps.State.SLID
 	span := s.tracerLoad().Start("sllocal.init")
 	span.Annotate("machine", s.deps.Machine.Name())
 	var res slremote.InitResult
@@ -267,10 +272,14 @@ func (s *Service) Init() error {
 	}
 	s.slid = res.SLID
 
+	if s.tree != nil {
+		s.treeBase = addTreeStats(s.treeBase, s.tree.Stats())
+	}
 	s.dir = make(map[string]lease.ID)
 	s.nextBlk = 1
+	s.curBlk = nil
 	restored := false
-	if res.HasOBK && s.deps.State != nil && s.deps.State.Snapshot != nil {
+	if res.HasOBK && s.deps.State.Snapshot != nil {
 		tree, rerr := leasetree.Restore(*s.deps.State.Snapshot, res.OBK)
 		if rerr == nil {
 			s.tree = tree
@@ -293,10 +302,8 @@ func (s *Service) Init() error {
 	if s.cfg.MemoryBudget > 0 {
 		s.tree.SetBudget(s.cfg.MemoryBudget)
 	}
-	if s.deps.State != nil {
-		s.deps.State.SLID = s.slid
-		s.deps.State.Snapshot = nil // consumed; stale copies must not linger
-	}
+	s.deps.State.SLID = s.slid
+	s.deps.State.Snapshot = nil // consumed; stale copies must not linger
 	s.state = stateRunning
 	return nil
 }
@@ -304,7 +311,7 @@ func (s *Service) Init() error {
 // restoreDirectoryLocked unseals the license directory saved at the last
 // shutdown.
 func (s *Service) restoreDirectoryLocked() error {
-	if s.deps.State == nil || len(s.deps.State.DirectorySealed) == 0 {
+	if len(s.deps.State.DirectorySealed) == 0 {
 		return errors.New("sllocal: no sealed directory")
 	}
 	plain, err := s.enclave.Unseal(s.deps.State.DirectorySealed)
@@ -533,24 +540,22 @@ func (s *Service) Shutdown() error {
 	if err != nil {
 		return fmt.Errorf("sllocal: escrowing root key: %w", err)
 	}
-	if s.deps.State != nil {
-		s.deps.State.SLID = s.slid
-		s.deps.State.Snapshot = &snap
-		sealed, serr := s.enclave.Seal(encodeDirectory(s.dir, s.nextBlk))
-		if serr != nil {
-			return fmt.Errorf("sllocal: sealing directory: %w", serr)
-		}
-		s.deps.State.DirectorySealed = sealed
-		s.deps.State.NextIDBlock = s.nextBlk
+	sealed, err := s.enclave.Seal(encodeDirectory(s.dir, s.nextBlk))
+	if err != nil {
+		return fmt.Errorf("sllocal: sealing directory: %w", err)
 	}
+	s.deps.State.SLID = s.slid
+	s.deps.State.Snapshot = &snap
+	s.deps.State.DirectorySealed = sealed
+	s.deps.State.NextIDBlock = s.nextBlk
 	s.enclave.Destroy()
 	s.state = stateStopped
 	return nil
 }
 
 // Crash simulates an abrupt termination: nothing is committed, nothing is
-// escrowed, and SL-Remote will forfeit every lease this instance held the
-// next time the machine shows up (the paper's pessimistic policy).
+// escrowed, and SL-Remote will forfeit every lease this instance held at
+// the next Init (the paper's pessimistic policy).
 func (s *Service) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

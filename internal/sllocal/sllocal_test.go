@@ -58,16 +58,11 @@ func (e *testEnv) app(t *testing.T, name string) *sgx.Enclave {
 	return encl
 }
 
-// restart builds a new Service over the same machine/state (process
-// restart on the same box).
-func (e *testEnv) restart(t *testing.T, cfg Config) {
+// restart starts the service's next incarnation over the same machine and
+// state (process restart on the same box).
+func (e *testEnv) restart(t *testing.T) {
 	t.Helper()
-	svc, err := New(cfg, Deps{Machine: e.machine, Platform: e.plat, Remote: e.remote, State: e.state})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	e.svc = svc
-	if err := svc.Init(); err != nil {
+	if err := e.svc.Init(); err != nil {
 		t.Fatalf("Init: %v", err)
 	}
 }
@@ -243,7 +238,7 @@ func TestShutdownRestorePreservesCounters(t *testing.T) {
 		t.Fatal("no snapshot persisted")
 	}
 
-	env.restart(t, Config{TokenBatch: 1})
+	env.restart(t)
 	// The restored service must keep serving from the restored sub-GCL
 	// without a new renewal.
 	for i := 0; i < 5; i++ {
@@ -251,10 +246,9 @@ func TestShutdownRestorePreservesCounters(t *testing.T) {
 			t.Fatalf("post-restore RequestToken: %v", err)
 		}
 	}
-	if got := env.svc.Stats().Renewals; got != 0 {
-		t.Fatalf("renewals after restore = %d, want 0 (served from restored tree)", got)
+	if got := env.svc.Stats().Renewals; got != renewalsBefore {
+		t.Fatalf("renewals %d before restore, %d after; want none (served from restored tree)", renewalsBefore, got)
 	}
-	_ = renewalsBefore
 	if got := env.remote.Outstanding(env.svc.SLID(), "lic"); got != outstandingBefore {
 		t.Fatalf("outstanding changed across graceful restart: %d → %d", outstandingBefore, got)
 	}
@@ -279,7 +273,7 @@ func TestCrashForfeitsLeases(t *testing.T) {
 	}
 
 	// On restart, SL-Remote infers the crash (no escrow) and forfeits.
-	env.restart(t, Config{TokenBatch: 1})
+	env.restart(t)
 	lic, err := env.remote.License("lic")
 	if err != nil {
 		t.Fatalf("License: %v", err)
@@ -288,11 +282,12 @@ func TestCrashForfeitsLeases(t *testing.T) {
 		t.Fatalf("lost = %d, want %d", lic.Lost, held)
 	}
 	// Service still works — it renews fresh sub-GCLs.
+	renewals := env.svc.Stats().Renewals
 	if _, err := env.svc.RequestToken(app, "lic"); err != nil {
 		t.Fatalf("post-crash RequestToken: %v", err)
 	}
-	if env.svc.Stats().Renewals != 1 {
-		t.Fatalf("renewals = %d, want 1 (fresh grant)", env.svc.Stats().Renewals)
+	if got := env.svc.Stats().Renewals - renewals; got != 1 {
+		t.Fatalf("renewals = %d, want 1 (fresh grant)", got)
 	}
 }
 
@@ -315,7 +310,7 @@ func TestReplayedSnapshotRejected(t *testing.T) {
 	stale := *env.state.Snapshot // attacker's copy
 	staleDir := append([]byte(nil), env.state.DirectorySealed...)
 
-	env.restart(t, Config{TokenBatch: 1})
+	env.restart(t)
 	// Consume many tokens, then shut down (fresh key escrowed).
 	for i := 0; i < 20; i++ {
 		if _, err := env.svc.RequestToken(app, "lic"); err != nil {
@@ -329,13 +324,14 @@ func TestReplayedSnapshotRejected(t *testing.T) {
 	// Replay: overwrite untrusted state with the stale copy.
 	env.state.Snapshot = &stale
 	env.state.DirectorySealed = staleDir
-	env.restart(t, Config{TokenBatch: 1})
+	env.restart(t)
 	// The stale snapshot must NOT have restored: first request triggers a
 	// fresh renewal rather than serving from replayed counters.
+	renewals := env.svc.Stats().Renewals
 	if _, err := env.svc.RequestToken(app, "lic"); err != nil {
 		t.Fatalf("RequestToken: %v", err)
 	}
-	if got := env.svc.Stats().Renewals; got != 1 {
+	if got := env.svc.Stats().Renewals - renewals; got != 1 {
 		t.Fatalf("renewals = %d, want 1 — replayed counters were served", got)
 	}
 }

@@ -201,8 +201,10 @@ type ServerStats struct {
 }
 
 // NewServer builds an SL-Remote with the given attestation service. A nil
-// service disables quote verification (useful in unit tests of the policy
-// alone); production paths always pass one.
+// service skips init-quote verification and charges the client machine the
+// remote attestation instead. The sl-remote daemon runs that way: its
+// RA-TLS channel attests the peer, and verifying the init quote itself
+// belongs to binding the SLID to the attested client.
 func NewServer(cfg Config, service *attest.Service) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

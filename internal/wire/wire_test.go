@@ -170,12 +170,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 		t.Fatalf("NewPlatform: %v", err)
 	}
 	d.service.RegisterPlatform(plat)
-	probe, err := m.CreateEnclave("probe", sllocal.EnclaveCodeIdentity, 0)
-	if err != nil {
-		t.Fatalf("probe: %v", err)
-	}
-	d.service.TrustMeasurement(probe.Measurement())
-	probe.Destroy()
+	d.service.TrustMeasurement(sgx.MeasurementOf(sllocal.EnclaveCodeIdentity))
 
 	client, err := Dial(d.addr, ratls.Insecure())
 	if err != nil {
