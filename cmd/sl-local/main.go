@@ -27,7 +27,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/obs"
 	"repro/internal/obs/fleet"
-	"repro/internal/obs/flight"
 	"repro/internal/ratls"
 	"repro/internal/sgx"
 	"repro/internal/sllocal"
@@ -56,7 +55,6 @@ func run(fs *flag.FlagSet, args []string, stop <-chan os.Signal) error {
 		name        = fs.String("name", "client", "machine name")
 		metricsAddr = fs.String("metrics-addr", "", "observability endpoint address (/metrics, /healthz, /readyz, /trace, /events); empty disables")
 		pprofOn     = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the observability endpoint")
-		traceBuffer = fs.Int("trace-buffer", 4096, "span ring-buffer capacity; /trace marks the dump truncated once the ring wraps")
 		linger      = fs.Duration("linger", 0, "keep running (and serving metrics) this long after the workload finishes")
 
 		insecure        = fs.Bool("insecure", false, "speak explicit plaintext on the wire channel instead of the attested (RA-TLS) default; both daemons must agree")
@@ -95,9 +93,9 @@ func run(fs *flag.FlagSet, args []string, stop <-chan os.Signal) error {
 		return err
 	}
 	// Instrumentation is always on, in the same bundle sl-remote carries:
-	// SIGQUIT dumps its flight recorder to stderr, and -metrics-addr serves
-	// its registry, span ring and recorder.
-	nodeObs := fleet.NewNodeObs("sl-local", *traceBuffer)
+	// SIGQUIT dumps its event ring to stderr, and -metrics-addr serves its
+	// registry and both rings.
+	nodeObs := fleet.NewNodeObs("sl-local")
 	defer nodeObs.DumpOnSIGQUIT()()
 	machine.ExposeMetrics(nodeObs.Registry)
 	svc.ExposeMetrics(nodeObs.Registry, nodeObs.Tracer)
@@ -157,9 +155,7 @@ workload:
 		vElapsed.Round(time.Millisecond),
 		float64(vElapsed.Microseconds()-loopRAs*3_500_000)/float64(issued))
 
-	nodeObs.Flight.Emit("sllocal.shutdown",
-		flight.KV{K: "slid", V: svc.SLID()},
-		flight.KV{K: "checks", V: strconv.Itoa(issued)})
+	nodeObs.Flight.Mark("sllocal.shutdown", "slid", svc.SLID(), "checks", strconv.Itoa(issued))
 	if err := svc.Shutdown(); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}

@@ -82,7 +82,6 @@ import (
 	"repro/internal/lease"
 	"repro/internal/obs"
 	"repro/internal/obs/fleet"
-	"repro/internal/obs/flight"
 	"repro/internal/ratls"
 	"repro/internal/seccrypto"
 	"repro/internal/sllocal"
@@ -115,7 +114,6 @@ func run(fs *flag.FlagSet, args []string, stop <-chan os.Signal, serving func(*c
 		addr        = fs.String("addr", "127.0.0.1:7600", "listen address")
 		metricsAddr = fs.String("metrics-addr", "", "observability endpoint address (/metrics, /healthz, /readyz, /trace, /events, /audit); empty disables")
 		pprofOn     = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the observability endpoint")
-		traceBuffer = fs.Int("trace-buffer", 4096, "span ring-buffer capacity; /trace marks the dump truncated once the ring wraps")
 
 		d        = fs.Float64("d", 4, "Algorithm 1 scale-down factor D (paper: 4)")
 		th       = fs.Float64("th", 0.9, "health threshold T_H (paper: 0.9)")
@@ -188,9 +186,9 @@ func run(fs *flag.FlagSet, args []string, stop <-chan os.Signal, serving func(*c
 	// Instrumentation is always on, and it follows the process, not the
 	// role: one bundle feeds the HTTP endpoint when -metrics-addr is set
 	// and the wire obs_pull RPC regardless, before and after a standby
-	// promotes. The flight recorder is the always-on black box: SIGQUIT
-	// dumps it to stderr, and every exit persists it next to the WAL.
-	nodeObs := fleet.NewNodeObs("sl-remote", *traceBuffer)
+	// promotes. Its event ring is the always-on black box: SIGQUIT dumps
+	// it to stderr, and every exit persists it next to the WAL.
+	nodeObs := fleet.NewNodeObs("sl-remote")
 	defer nodeObs.Close()
 	defer nodeObs.DumpOnSIGQUIT()()
 
@@ -272,11 +270,10 @@ func run(fs *flag.FlagSet, args []string, stop <-chan os.Signal, serving func(*c
 	if *stateDir != "" {
 		// The black box lands next to the WAL on every exit from here on,
 		// a standby stopped before promoting included: a post-mortem can
-		// replay the process's last DefaultCapacity events with
-		// flight.ReadDump.
+		// replay the process's last events with fleet.ReadEvents.
 		defer func() {
-			if err := nodeObs.Flight.Persist(filepath.Join(*stateDir, "flight.log")); err != nil {
-				log.Printf("sl-remote: persisting flight recorder: %v", err)
+			if err := nodeObs.PersistEvents(filepath.Join(*stateDir, "flight.log")); err != nil {
+				log.Printf("sl-remote: persisting event ring: %v", err)
 			}
 		}()
 	}
@@ -359,7 +356,7 @@ func run(fs *flag.FlagSet, args []string, stop <-chan os.Signal, serving func(*c
 		serveErr = node.Err()
 	case sig := <-stop:
 		log.Printf("sl-remote: %v: draining (timeout %v)", sig, *drainTimeout)
-		nodeObs.Flight.Emit("slremote.shutdown", flight.KV{K: "signal", V: sig.String()})
+		nodeObs.Flight.Mark("slremote.shutdown", "signal", sig.String())
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()

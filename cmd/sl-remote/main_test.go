@@ -19,7 +19,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
+	"repro/internal/obs/fleet"
 	"repro/internal/ratls"
 	"repro/internal/sgx"
 	"repro/internal/sllocal"
@@ -84,16 +84,22 @@ func (d *daemon) sigterm() {
 	d.exited()
 }
 
-// freeAddr reserves a loopback address for flags that must name one
-// before the daemon binds it (-peer, -follow, a standby's -metrics-addr).
-func freeAddr(t *testing.T) string {
+// freeAddrs reserves n distinct loopback addresses for flags that must
+// name one before the daemon binds it (-peer, -follow, a standby's
+// -metrics-addr). Every listener stays open until all n are picked, so
+// the kernel cannot hand one port out twice.
+func freeAddrs(t *testing.T, n int) []string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
 	}
-	defer ln.Close()
-	return ln.Addr().String()
+	return addrs
 }
 
 // dialAttested connects the way an sl-local daemon provisioned with the
@@ -163,13 +169,13 @@ func auditOps(t *testing.T, path string) (n uint64, ops map[string]int) {
 
 func flightKinds(t *testing.T, stateDir string) map[string]int {
 	t.Helper()
-	events, err := flight.ReadDump(filepath.Join(stateDir, "flight.log"))
+	dump, err := fleet.ReadEvents(filepath.Join(stateDir, "flight.log"))
 	if err != nil {
 		t.Fatalf("flight dump: %v", err)
 	}
 	kinds := make(map[string]int)
-	for _, e := range events {
-		kinds[e.Kind]++
+	for _, e := range dump.Events {
+		kinds[e.Name]++
 	}
 	return kinds
 }
@@ -305,8 +311,9 @@ type standbyPair struct {
 
 func startStandbyPair(t *testing.T, standbyFlags ...string) standbyPair {
 	t.Helper()
-	leaderAddr := freeAddr(t)
-	p := standbyPair{standbyAddr: freeAddr(t), metricsAddr: freeAddr(t), standbyDir: t.TempDir()}
+	addrs := freeAddrs(t, 3)
+	leaderAddr := addrs[0]
+	p := standbyPair{standbyAddr: addrs[1], metricsAddr: addrs[2], standbyDir: t.TempDir()}
 	p.leader = startDaemon(t, "-addr", leaderAddr, "-shards", "1", "-peer", leaderAddr, "-ratls-secret", fleetSecret,
 		"-state-dir", t.TempDir(), "-seal-secret", sealSecret, "-license", "demo:count:100000")
 	p.leaderNode = p.leader.serving()
@@ -379,7 +386,7 @@ func TestStandbyIsADaemonBeforeItPromotes(t *testing.T) {
 		}
 	}
 	p.standby.sigterm()
-	if _, err := flight.ReadDump(filepath.Join(p.standbyDir, "flight.log")); err != nil {
+	if _, err := fleet.ReadEvents(filepath.Join(p.standbyDir, "flight.log")); err != nil {
 		t.Errorf("standby stopped before promoting left no flight dump: %v", err)
 	}
 	select {

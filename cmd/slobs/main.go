@@ -1,5 +1,5 @@
 // Command slobs is the fleet observability plane: it scrapes every
-// node's metric/trace/flight exposition — over plain HTTP or over the
+// node's metric/trace/event exposition — over plain HTTP or over the
 // attested wire channel — merges them under the fleet rules (counters
 // sum, gauges follow the rule table, histogram buckets merge so fleet
 // p50/p99 are recomputed from real counts), and either prints the
@@ -10,8 +10,8 @@
 //	slobs -addr :9300 -node shard0=http://127.0.0.1:9101 \
 //	      -node shard1=http://127.0.0.1:9102 -node shard2=http://127.0.0.1:9103
 //
-// One-shot merged metrics, a stitched cross-node trace, the merged
-// flight timeline, or per-node scrape health:
+// One-shot merged metrics, a stitched cross-node trace, the nodes' event
+// rings stitched into one timeline, or per-node scrape health:
 //
 //	slobs -node a=http://... -node b=http://...
 //	slobs -node a=http://... -node b=http://... -trace 3fa9c1...
@@ -69,7 +69,7 @@ func run() error {
 		interval = flag.Duration("interval", fleet.DefaultInterval, "scrape interval in serve mode")
 		timeout  = flag.Duration("scrape-timeout", fleet.DefaultTimeout, "per-target scrape timeout")
 		traceID  = flag.String("trace", "", "one-shot: print the stitched cross-node trace for this hex trace ID")
-		events   = flag.Bool("events", false, "one-shot: print the merged flight-recorder timeline")
+		events   = flag.Bool("events", false, "one-shot: print the nodes' events as one timeline")
 		nodes    = flag.Bool("nodes", false, "one-shot: print per-node scrape health")
 		asJSON   = flag.Bool("json", false, "one-shot: emit JSON instead of text")
 
@@ -124,21 +124,17 @@ func oneShot(agg *fleet.Aggregator, traceID string, events, nodes, asJSON bool) 
 		return enc.Encode(v)
 	}
 	switch {
-	case traceID != "":
-		tr := agg.StitchTrace(traceID)
+	case traceID != "" || events:
+		var tr *fleet.Trace
+		if traceID != "" {
+			tr = agg.StitchTrace(traceID)
+		} else {
+			tr = agg.Events()
+		}
 		if asJSON {
 			return emitJSON(tr)
 		}
 		fmt.Print(tr.Render())
-		return nil
-	case events:
-		evs := agg.Events()
-		if asJSON {
-			return emitJSON(evs)
-		}
-		for _, ev := range evs {
-			fmt.Println(ev.String())
-		}
 		return nil
 	case nodes:
 		if err := agg.ScrapeOnce(); err != nil {

@@ -45,8 +45,8 @@ type Options struct {
 	// Registry receives the cluster_* metrics (nil: none).
 	Registry *obs.Registry
 	// Observe gives every node (leader incarnations and followers) its
-	// own NodeObs bundle — a private registry, tracer, and flight
-	// recorder served on a loopback HTTP endpoint — so a fleet
+	// own NodeObs bundle — a private registry, span ring, and event
+	// ring served on a loopback HTTP endpoint — so a fleet
 	// aggregator can scrape the cluster like a real multi-process
 	// deployment. Dead nodes keep their (closed) endpoints listed in
 	// ObsTargets: the aggregator's scrape errors and staleness metrics
@@ -143,7 +143,7 @@ func (c *Cluster) newNodeObs(name string) (*fleet.NodeObs, error) {
 	if !c.opts.Observe {
 		return nil, nil
 	}
-	o := fleet.NewNodeObs(name, 0)
+	o := fleet.NewNodeObs(name)
 	if err := o.Serve("127.0.0.1:0", obs.HandlerOptions{}); err != nil {
 		return nil, fmt.Errorf("cluster: obs endpoint for %s: %w", name, err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/attest"
 	"repro/internal/obs/fleet"
-	"repro/internal/obs/flight"
 	"repro/internal/ratls"
 	"repro/internal/seccrypto"
 	"repro/internal/slremote"
@@ -43,8 +42,8 @@ type FollowerOptions struct {
 	Metrics *Metrics
 	// Obs is the follower's own observability bundle (nil: unobserved).
 	// Replication progress is mirrored into its registry alongside the
-	// cluster-wide Metrics, and failover flight events land in its
-	// recorder. On Promote the bundle follows the process: the new
+	// cluster-wide Metrics, and failover events land in its event ring.
+	// On Promote the bundle follows the process: the new
 	// leader's counters continue where the follower's left off.
 	Obs *fleet.NodeObs
 }
@@ -146,9 +145,7 @@ func (f *Follower) pullOnce() (caught bool, err error) {
 // managed to ship, which is still a legal (conservation-preserving) state.
 func (f *Follower) Drain() error {
 	f.stopLoop()
-	flightRec(f.opts.Obs).Emit("failover.drain",
-		flight.KV{K: "shard", V: shardLabel(f.opts.Shard)},
-		flight.KV{K: "leader", V: f.opts.LeaderAddr})
+	flightRec(f.opts.Obs).Mark("failover.drain", "shard", shardLabel(f.opts.Shard), "leader", f.opts.LeaderAddr)
 	for {
 		caught, err := f.pullOnce()
 		if err != nil {
@@ -207,7 +204,7 @@ func (f *Follower) Promote(opts NodeOptions) (*Node, error) {
 	defer f.mu.Unlock()
 	if opts.Obs == nil {
 		// The bundle follows the process: a promoted follower keeps its
-		// registry, tracer, and flight recorder, so counters and the
+		// registry and its span and event rings, so counters and the
 		// event timeline stay continuous across the role change.
 		opts.Obs = f.opts.Obs
 	}
@@ -220,17 +217,13 @@ func (f *Follower) Promote(opts NodeOptions) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	flightRec(opts.Obs).Emit("failover.promote",
-		flight.KV{K: "shard", V: shardLabel(opts.Shard)},
-		flight.KV{K: "addr", V: n.addr},
-		flight.KV{K: "applied", V: strconv.FormatInt(f.replica.Applied(), 10)})
+	flightRec(opts.Obs).Mark("failover.promote", "shard", shardLabel(opts.Shard), "addr", n.addr,
+		"applied", strconv.FormatInt(f.replica.Applied(), 10))
 	epoch := opts.Directory.SetLeader(opts.Shard, n.addr)
 	f.opts.Metrics.setEpoch(opts.Shard, epoch)
 	f.opts.Metrics.failover()
 	f.obsm.setEpoch(opts.Shard, epoch)
 	f.obsm.failover()
-	flightRec(opts.Obs).Emit("cluster.epoch_bump",
-		flight.KV{K: "shard", V: shardLabel(opts.Shard)},
-		flight.KV{K: "epoch", V: strconv.FormatUint(epoch, 10)})
+	flightRec(opts.Obs).Mark("cluster.epoch_bump", "shard", shardLabel(opts.Shard), "epoch", strconv.FormatUint(epoch, 10))
 	return n, nil
 }

@@ -51,7 +51,7 @@ type NodeOptions struct {
 	// Obs is the node's observability bundle (nil: unobserved). When set,
 	// every subsystem the node touches — server, wire, channel, store,
 	// audit — registers its metrics with the bundle's registry, traces
-	// into its tracer, and emits flight events into its recorder, and the
+	// into its tracer, and marks events into its event ring, and the
 	// wire server answers obs_pull scrapes from it.
 	Obs *fleet.NodeObs
 	// ListenAddr is the node's wire listen address (default 127.0.0.1:0,

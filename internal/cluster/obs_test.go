@@ -10,7 +10,6 @@ import (
 	"repro/internal/lease"
 	"repro/internal/obs"
 	"repro/internal/obs/fleet"
-	"repro/internal/obs/flight"
 	"repro/internal/ratls"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -121,7 +120,7 @@ func TestClusterObserveFleetFailover(t *testing.T) {
 
 	// The client is a fleet member too: its registry and span ring feed
 	// the same aggregator, so the stitched trace includes the caller side.
-	clientObs := fleet.NewNodeObs("client", 64)
+	clientObs := fleet.NewNodeObs("client")
 	if err := clientObs.Serve("127.0.0.1:0", obs.HandlerOptions{}); err != nil {
 		t.Fatalf("client obs: %v", err)
 	}
@@ -269,12 +268,12 @@ func TestClusterObserveFleetFailover(t *testing.T) {
 		t.Fatalf("merged cluster_shard_epoch{0} = %+v (ok=%v), want 2", ch, ok)
 	}
 
-	// The flight timeline reconstructs the failover: probe timeout, WAL
+	// The event timeline reconstructs the failover: probe timeout, WAL
 	// drain, promotion, epoch bump — in order, timestamped, all on the
-	// surviving process's recorder.
-	var seq []flight.Event
-	for _, ev := range agg.Events() {
-		if strings.HasPrefix(ev.Kind, "failover.") || ev.Kind == "cluster.epoch_bump" {
+	// surviving process's event ring.
+	var seq []*fleet.Span
+	for _, ev := range agg.Events().Roots {
+		if strings.HasPrefix(ev.Name, "failover.") || ev.Name == "cluster.epoch_bump" {
 			seq = append(seq, ev)
 		}
 	}
@@ -283,33 +282,33 @@ func TestClusterObserveFleetFailover(t *testing.T) {
 		t.Fatalf("failover timeline = %d events, want %v:\n%+v", len(seq), wantKinds, seq)
 	}
 	for i, ev := range seq {
-		if ev.Kind != wantKinds[i] {
-			t.Fatalf("timeline[%d] = %s, want %s (full: %+v)", i, ev.Kind, wantKinds[i], seq)
+		if ev.Name != wantKinds[i] {
+			t.Fatalf("timeline[%d] = %s, want %s (full: %+v)", i, ev.Name, wantKinds[i], seq)
 		}
 		if ev.Node != "shard0-f0" {
 			t.Fatalf("timeline[%d] on node %q, want the promoted process shard0-f0", i, ev.Node)
 		}
-		if i > 0 && ev.Time.Before(seq[i-1].Time) {
-			t.Fatalf("timeline timestamps regress at %d: %v before %v", i, ev.Time, seq[i-1].Time)
+		if i > 0 && ev.Start.Before(seq[i-1].Start) {
+			t.Fatalf("timeline timestamps regress at %d: %v before %v", i, ev.Start, seq[i-1].Start)
 		}
 	}
-	if got := seq[3].Attr("epoch"); got != "2" {
+	if got := seq[3].Attrs["epoch"]; got != "2" {
 		t.Fatalf("epoch bump attr = %q, want 2", got)
 	}
 
 	// The black box survives the process: persist the promoted node's ring
 	// and read it back.
 	path := filepath.Join(t.TempDir(), "flight.log")
-	if err := promoted.Obs().Flight.Persist(path); err != nil {
-		t.Fatalf("Persist: %v", err)
+	if err := promoted.Obs().PersistEvents(path); err != nil {
+		t.Fatalf("PersistEvents: %v", err)
 	}
-	events, err := flight.ReadDump(path)
+	dump, err := fleet.ReadEvents(path)
 	if err != nil {
-		t.Fatalf("ReadDump: %v", err)
+		t.Fatalf("ReadEvents: %v", err)
 	}
 	kinds := map[string]bool{}
-	for _, ev := range events {
-		kinds[ev.Kind] = true
+	for _, ev := range dump.Events {
+		kinds[ev.Name] = true
 	}
 	for _, k := range wantKinds {
 		if !kinds[k] {

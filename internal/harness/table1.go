@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/lease"
@@ -27,9 +28,10 @@ type Table1Result struct {
 }
 
 // Table1 populates each store with 5000 leases and times find() batches
-// at each op count, keeping the best of repeats. Each repeat times the
-// three schemes back to back, so a burst of load on the machine lands on
-// all of them rather than on whichever scheme happened to be running.
+// at each op count, keeping the best of repeats. Each repeat times every
+// op count and the three schemes back to back, so a burst of load on the
+// machine lands on all schemes rather than on whichever happened to be
+// running, and on a few repeats of an op count rather than on all of them.
 func Table1(repeats int) (*Table1Result, error) {
 	if repeats <= 0 {
 		repeats = 3
@@ -66,8 +68,11 @@ func Table1(repeats int) (*Table1Result, error) {
 			}
 		}
 	}
-	for _, ops := range Table1OpCounts {
-		for r := 0; r < repeats; r++ {
+	// Populating allocated every record; collect now so no GC cycle is
+	// still marking the stores' heap while they are timed.
+	runtime.GC()
+	for r := 0; r < repeats; r++ {
+		for _, ops := range Table1OpCounts {
 			for s, store := range stores {
 				find := func() error {
 					for i := 0; i < ops; i++ {

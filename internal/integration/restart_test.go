@@ -42,7 +42,7 @@ func bootDurableNode(t *testing.T, dir string, sealKey seccrypto.Key, service *a
 		Audit:         aud,
 		SyncMode:      store.SyncBatched,
 		SnapshotEvery: 8,
-		Obs:           fleet.NewNodeObs("restart", 0),
+		Obs:           fleet.NewNodeObs("restart"),
 	})
 	if err != nil {
 		t.Fatalf("StartNode: %v", err)

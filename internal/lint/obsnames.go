@@ -25,14 +25,14 @@ import (
 //     are followed: the literals at the wrapper's call sites are checked
 //     instead.
 //
-// It applies the same discipline to the flight recorder's event
-// vocabulary: every kind passed to flight.Recorder.Emit must be a string
-// literal matching ^[a-z][a-z0-9_.]*$ (dotted subsystem.event form), and
+// It applies the same discipline to the event vocabulary: every name
+// passed to obs.Tracer.Mark must be a string literal matching ^[a-z][a-z0-9_.]*$ (dotted subsystem.event form), and
 // each kind may have exactly one emission site in the repo — a kind
 // emitted from two places can no longer be read as "this code path ran".
 // Shared emissions go through a named helper holding the single literal
-// (see cluster.EmitProbeTimeout). Flight kinds and metric names are
-// separate namespaces: a kind may coincide with a metric name.
+// (see cluster.EmitProbeTimeout). Event kinds and metric names are
+// separate namespaces: a kind may coincide with a metric name. Span names
+// (Tracer.Start) are not checked: a span names a code path, not an event.
 type obsNames struct {
 	first      map[string]token.Position // metric name -> first registration site
 	firstEmit  map[string]token.Position // flight kind -> first emission site
@@ -103,7 +103,7 @@ func (a *obsNames) Run(pass *Pass) {
 			if fn == nil {
 				return true
 			}
-			if isMethodOn(fn, "internal/obs/flight", "Recorder", "Emit") {
+			if isMethodOn(fn, "internal/obs", "Tracer", "Mark") {
 				a.checkFlightKind(pass, call.Args[0])
 				return true
 			}
@@ -158,12 +158,12 @@ func (a *obsNames) checkName(pass *Pass, arg ast.Expr, method string, isHist boo
 	}
 }
 
-// checkFlightKind validates one kind argument to flight.Recorder.Emit.
+// checkFlightKind validates one kind argument to obs.Tracer.Mark.
 func (a *obsNames) checkFlightKind(pass *Pass, arg ast.Expr) {
 	kind, ok := constString(pass, arg)
 	if !ok {
 		pass.Reportf(a.Name(), arg.Pos(),
-			"flight-event kind passed to Recorder.Emit is not a string literal: the event vocabulary must be statically auditable")
+			"flight-event kind passed to Tracer.Mark is not a string literal: the event vocabulary must be statically auditable")
 		return
 	}
 	if !flightKindRE.MatchString(kind) {

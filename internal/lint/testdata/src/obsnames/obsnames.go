@@ -1,10 +1,7 @@
 // Package obsnames is a golden fixture for the obsnames analyzer.
 package obsnames
 
-import (
-	"repro/internal/obs"
-	"repro/internal/obs/flight"
-)
+import "repro/internal/obs"
 
 // Register exercises the naming rules at direct registration sites.
 func Register(reg *obs.Registry) {
@@ -36,16 +33,25 @@ func RegisterWrapped(reg *obs.Registry) {
 	counter("WrappedBad", "Checked where the literal lives.") // want `metric name "WrappedBad" does not match`
 }
 
-// EmitEvents exercises the flight-event vocabulary rules.
-func EmitEvents(rec *flight.Recorder, kind string) {
-	rec.Emit("subsys.good_event", flight.KV{K: "k", V: "v"})
-	rec.Emit("BadKind")    // want `flight-event kind "BadKind" does not match`
-	rec.Emit(kind)         // want `flight-event kind passed to Recorder.Emit is not a string literal`
-	rec.Emit("good_total") // a flight kind may coincide with a metric name: separate namespaces
+// EmitEvents exercises the event vocabulary rules.
+func EmitEvents(rec *obs.Tracer, kind string) {
+	rec.Mark("subsys.good_event", "k", "v")
+	rec.Mark("BadKind")    // want `flight-event kind "BadKind" does not match`
+	rec.Mark(kind)         // want `flight-event kind passed to Tracer.Mark is not a string literal`
+	rec.Mark("good_total") // an event kind may coincide with a metric name: separate namespaces
 }
 
-// EmitDup re-emits a kind already emitted above: the vocabulary demands a
+// EmitDup re-marks a kind already marked above: the vocabulary demands a
 // single emission site per kind.
-func EmitDup(rec *flight.Recorder) {
-	rec.Emit("subsys.good_event") // want `flight-event kind "subsys.good_event" already emitted`
+func EmitDup(rec *obs.Tracer) {
+	rec.Mark("subsys.good_event") // want `flight-event kind "subsys.good_event" already emitted`
+}
+
+// StartSpans is the near miss: span names passed to Tracer.Start are not
+// event kinds, so a dynamic name, a bad name, and a name reused from a
+// mark all pass.
+func StartSpans(tr *obs.Tracer, name string) {
+	tr.Start(name).End(nil)
+	tr.Start("BadKind").End(nil)
+	tr.Start("subsys.good_event").End(nil)
 }

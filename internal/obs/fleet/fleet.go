@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 	"repro/internal/ratls"
 	"repro/internal/wire"
 )
@@ -69,9 +68,10 @@ type nodeState struct {
 // Aggregator scrapes a fleet of nodes and re-exposes their merged
 // observability plane: one /metrics (counters summed, gauges ruled,
 // histogram buckets merged so fleet quantiles are real), one /trace
-// that stitches a TraceID across every node, one /events flight
-// timeline, plus fleet self-metrics (scrape errors, staleness, node
-// liveness) so the aggregator's own blind spots are visible.
+// that stitches a TraceID across every node, one /events timeline of
+// every node's event ring, plus fleet self-metrics (scrape errors,
+// staleness, node liveness) so the aggregator's own blind spots are
+// visible.
 type Aggregator struct {
 	opts  Options
 	httpc *http.Client
@@ -193,7 +193,7 @@ type part int
 const (
 	partMetrics part = iota // export JSON ([]obs.ExportFamily)
 	partTrace               // obs.TraceDump, filtered by trace ID
-	partEvents              // flight.Dump
+	partEvents              // obs.TraceDump of the event ring
 )
 
 // fetch returns the raw JSON of one part of a target's exposition, over
@@ -322,23 +322,22 @@ func (a *Aggregator) selfFamilies(conflicts map[string]int64) []obs.ExportFamily
 // (their absence surfaces as orphaned subtrees) and counted as scrape
 // errors.
 func (a *Aggregator) StitchTrace(traceID string) *Trace {
-	dumps := fanOut(a, partTrace, traceID, func(raw []byte) (obs.TraceDump, error) {
-		var dump obs.TraceDump
-		if err := json.Unmarshal(raw, &dump); err != nil {
-			return obs.TraceDump{}, fmt.Errorf("parsing trace dump: %w", err)
-		}
-		return dump, nil
-	})
-	return Stitch(traceID, dumps)
+	return Stitch(traceID, fanOut(a, partTrace, traceID, parseDump))
 }
 
-// Events fans /events out to every target live and merges the flight
-// timelines into one fleet black box, ordered by time. Unreachable
-// nodes are skipped and counted as scrape errors.
-func (a *Aggregator) Events() []flight.Event {
-	return flight.Merge(fanOut(a, partEvents, "", func(raw []byte) (flight.Dump, error) {
-		return flight.ParseDump(bytes.NewReader(raw))
-	}))
+// Events fans /events out to every target live and stitches the event
+// rings into one fleet black box: every event is a root, ordered by time.
+// Unreachable nodes are skipped and counted as scrape errors.
+func (a *Aggregator) Events() *Trace {
+	return Stitch("", fanOut(a, partEvents, "", parseDump))
+}
+
+func parseDump(raw []byte) (obs.TraceDump, error) {
+	var dump obs.TraceDump
+	if err := json.Unmarshal(raw, &dump); err != nil {
+		return obs.TraceDump{}, fmt.Errorf("parsing trace dump: %w", err)
+	}
+	return dump, nil
 }
 
 // fanOut fetches part from every target concurrently and parses each
@@ -414,13 +413,28 @@ func (a *Aggregator) Nodes() []NodeStatus {
 	return out
 }
 
+// serveTrace writes tr as JSON, or as the Render timeline with
+// ?render=text.
+func serveTrace(w http.ResponseWriter, req *http.Request, tr *Trace) {
+	if req.URL.Query().Get("render") == "text" {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		_, _ = io.WriteString(w, tr.Render())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(tr)
+}
+
 // Handler serves the fleet view (serve it with obs.Serve):
 //
 //	/metrics   obs.MetricsHandler over Merged: merged Prometheus text, or
 //	           ?format=export for export JSON (aggregators compose)
 //	/trace     stitched cross-node trace for ?trace=<hex id>
 //	           (?render=text for the human timeline)
-//	/events    merged flight-recorder timeline, newest last
+//	/events    the nodes' event rings stitched into one timeline
+//	           (?render=text as for /trace)
 //	/nodes     per-node scrape health JSON
 func (a *Aggregator) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -431,26 +445,10 @@ func (a *Aggregator) Handler() http.Handler {
 			http.Error(w, "missing ?trace=<hex trace id>", http.StatusBadRequest)
 			return
 		}
-		tr := a.StitchTrace(id)
-		if req.URL.Query().Get("render") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			io.WriteString(w, tr.Render())
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(tr)
+		serveTrace(w, req, a.StitchTrace(id))
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, req *http.Request) {
-		events := a.Events()
-		if events == nil {
-			events = []flight.Event{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(events)
+		serveTrace(w, req, a.Events())
 	})
 	mux.HandleFunc("/nodes", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +21,7 @@ import (
 // HTTP endpoint.
 func startObsNode(t *testing.T) *NodeObs {
 	t.Helper()
-	n := NewNodeObs(t.Name(), 64)
+	n := NewNodeObs(t.Name())
 	if err := n.Serve("127.0.0.1:0", obs.HandlerOptions{}); err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -199,8 +201,8 @@ func TestAggregatorStitchTraceAndEvents(t *testing.T) {
 	root.End(nil)
 	traceID := root.Context().Trace.String()
 
-	client.Flight.Emit("test.request_sent")
-	server.Flight.Emit("test.request_handled")
+	client.Flight.Mark("test.request_sent", "k", "v")
+	server.Flight.Mark("test.request_handled")
 
 	agg := New(Options{
 		Targets: []Target{
@@ -223,11 +225,148 @@ func TestAggregatorStitchTraceAndEvents(t *testing.T) {
 	}
 
 	events := agg.Events()
-	if len(events) != 2 {
-		t.Fatalf("merged events = %d, want 2", len(events))
+	if events.Spans != 2 || len(events.Roots) != 2 || len(events.Orphans) != 0 {
+		t.Fatalf("stitched events = %d spans, %d roots, %d orphans, want 2/2/0", events.Spans, len(events.Roots), len(events.Orphans))
 	}
-	if events[0].Node == "" || events[1].Node == "" {
-		t.Fatalf("merged events missing node stamps: %+v", events)
+	if events.Roots[0].Node != "client" || events.Roots[1].Node != "server" {
+		t.Fatalf("event timeline = %s then %s, want client then server", events.Roots[0].Node, events.Roots[1].Node)
+	}
+	if out := events.Render(); !strings.Contains(out, "[client] test.request_sent (0s) k=v") {
+		t.Errorf("Render lacks the event with its attribute:\n%s", out)
+	}
+}
+
+// TestStitchOrdersEventsAcrossNodes: Stitch("", …) over event-ring dumps
+// is the fleet timeline — every event stamped with its node, ordered by
+// time, ties by node name and then by ring order.
+func TestStitchOrdersEventsAcrossNodes(t *testing.T) {
+	a, b := obs.NewTracer(64), obs.NewTracer(64)
+	a.Mark("m.a1")
+	b.Mark("m.b1")
+	a.Mark("m.a2")
+
+	merged := Stitch("", map[string]obs.TraceDump{"alpha": a.Dump(""), "beta": b.Dump("")})
+	if merged.Spans != 3 || len(merged.Roots) != 3 || len(merged.Orphans) != 0 {
+		t.Fatalf("merged %d events, %d roots, %d orphans, want 3/3/0", merged.Spans, len(merged.Roots), len(merged.Orphans))
+	}
+	nodes := map[string]bool{}
+	for i, ev := range merged.Roots {
+		if i > 0 && ev.Start.Before(merged.Roots[i-1].Start) {
+			t.Fatalf("merged timeline out of order at %d: %s before %s", i, merged.Roots[i-1].Name, ev.Name)
+		}
+		if ev.Node == "" {
+			t.Fatalf("merged event missing node stamp: %+v", ev)
+		}
+		nodes[ev.Node] = true
+	}
+	if !nodes["alpha"] || !nodes["beta"] {
+		t.Fatalf("node stamps: %v", nodes)
+	}
+
+	// Equal times: node name first, then each ring's own order.
+	at := time.Unix(1700000000, 0)
+	mark := func(name string, span uint64) obs.Event { return obs.Event{Name: name, Span: span, Start: at} }
+	tied := Stitch("", map[string]obs.TraceDump{
+		"beta":  {Events: []obs.Event{mark("t.b1", 1), mark("t.b2", 2)}},
+		"alpha": {Events: []obs.Event{mark("t.a1", 1), mark("t.a2", 2)}},
+	})
+	var order []string
+	for _, ev := range tied.Roots {
+		order = append(order, ev.Node+"/"+ev.Name)
+	}
+	if got, want := strings.Join(order, " "), "alpha/t.a1 alpha/t.a2 beta/t.b1 beta/t.b2"; got != want {
+		t.Fatalf("tied order = %s, want %s", got, want)
+	}
+}
+
+// TestEventsSurviveSpanFlood is why a node keeps two rings: a span flood
+// many times the ring's size evicts spans, counted, and never an event.
+func TestEventsSurviveSpanFlood(t *testing.T) {
+	n := startObsNode(t)
+	n.Flight.Mark("test.before_flood", "k", "v")
+	for i := 0; i < 10*ringSize; i++ {
+		n.Tracer.Start("test.flood").End(nil)
+	}
+
+	resp, err := http.Get(n.URL() + "/events")
+	if err != nil {
+		t.Fatalf("GET /events: %v", err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	dump, err := parseDump(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dump.Events) != 1 || dump.Events[0].Name != "test.before_flood" || dump.Truncated {
+		t.Fatalf("/events after the flood: %d events, dropped %d, want the one mark and none dropped",
+			len(dump.Events), dump.Dropped)
+	}
+	snap := n.Registry.Snapshot()
+	if got := snap.Get("obs_trace_dropped_spans_total", nil); got != 9*ringSize {
+		t.Errorf("obs_trace_dropped_spans_total = %v, want %d", got, 9*ringSize)
+	}
+	if got := snap.Get("flight_dropped_events_total", nil); got != 0 {
+		t.Errorf("flight_dropped_events_total = %v, want 0", got)
+	}
+}
+
+// TestEventsOneExposition: a node's /events body and its obs_pull Events
+// are the same bytes, so the aggregator reads one exposition over either
+// transport.
+func TestEventsOneExposition(t *testing.T) {
+	n := startObsNode(t)
+	n.Flight.Mark("test.exposed", "err", "a <b> & c")
+	wireAddr := startWireObsNode(t, n)
+	agg := New(Options{Timeout: 2 * time.Second})
+
+	overHTTP, err := agg.fetch(Target{Name: "http", URL: n.URL()}, partEvents, "")
+	if err != nil {
+		t.Fatalf("HTTP fetch: %v", err)
+	}
+	overWire, err := agg.fetch(Target{Name: "wire", Addr: wireAddr}, partEvents, "")
+	if err != nil {
+		t.Fatalf("obs_pull fetch: %v", err)
+	}
+	if pulled := n.PullSource()("").Events; !bytes.Equal(overHTTP, pulled) || !bytes.Equal(overWire, pulled) {
+		t.Fatalf("expositions differ:\nhttp: %s\nwire: %s\npull: %s", overHTTP, overWire, pulled)
+	}
+}
+
+// TestPersistEventsRoundTrip: the graceful-shutdown black box reads back
+// as the ring's dump, and a second persist replaces the first.
+func TestPersistEventsRoundTrip(t *testing.T) {
+	n := NewNodeObs(t.Name())
+	n.Flight.Mark("persist.one", "n", "1")
+	n.Flight.Mark("persist.two")
+	path := filepath.Join(t.TempDir(), "flight.log")
+	if err := n.PersistEvents(path); err != nil {
+		t.Fatalf("PersistEvents: %v", err)
+	}
+	d, err := ReadEvents(path)
+	if err != nil {
+		t.Fatalf("ReadEvents: %v", err)
+	}
+	if len(d.Events) != 2 || d.Events[0].Name != "persist.one" || d.Events[1].Name != "persist.two" {
+		t.Fatalf("read back: %+v", d.Events)
+	}
+	if got := d.Events[0].Attrs["n"]; got != "1" {
+		t.Errorf("attr lost across persist: %q", got)
+	}
+
+	n.Flight.Mark("persist.three")
+	if err := n.PersistEvents(path); err != nil {
+		t.Fatalf("second PersistEvents: %v", err)
+	}
+	if d, err = ReadEvents(path); err != nil {
+		t.Fatalf("ReadEvents after second persist: %v", err)
+	}
+	if len(d.Events) != 3 || d.Events[0].Name != "persist.one" || d.Events[2].Name != "persist.three" {
+		t.Fatalf("second dump did not replace the first: %+v", d.Events)
+	}
+
+	if _, err := ReadEvents(filepath.Join(t.TempDir(), "absent")); err == nil {
+		t.Fatal("ReadEvents of a path nothing was persisted to succeeded")
 	}
 }
 
@@ -269,7 +408,7 @@ func TestAggregatorHTTPEndpoint(t *testing.T) {
 	if code, _ := get("/trace"); code != http.StatusBadRequest {
 		t.Errorf("/trace without id: %d, want 400", code)
 	}
-	if code, body := get("/events"); code != 200 || !strings.HasPrefix(strings.TrimSpace(body), "[") {
+	if code, body := get("/events"); code != 200 || !strings.Contains(body, `"roots"`) {
 		t.Errorf("/events: %d\n%s", code, body)
 	}
 	if code, _ := get("/healthz"); code != 200 {

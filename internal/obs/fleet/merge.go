@@ -3,8 +3,8 @@
 // the attested wire channel), merges the families under per-kind rules
 // — counters sum, gauges follow a sum/max/min rule table, histograms
 // merge bucket-wise so fleet quantiles are recomputed from real counts
-// — stitches cross-node traces by TraceID, and merges flight-recorder
-// timelines. One aggregator endpoint then answers for the whole fleet.
+// — stitches cross-node traces by TraceID, and stitches the nodes'
+// event rings into one timeline. One aggregator endpoint then answers for the whole fleet.
 package fleet
 
 import (

@@ -50,8 +50,10 @@ type nodeSpanKey struct {
 	span uint64
 }
 
-// Stitch joins per-node trace dumps into one fleet-wide trace. Span IDs
-// are only unique per tracer, so spans are keyed by (node, span ID):
+// Stitch joins per-node trace dumps into one fleet-wide trace. Roots are
+// ordered by start time, ties by node name and then by ring order, so
+// Stitch("", …) over event-ring dumps is the fleet's event timeline.
+// Span IDs are only unique per tracer, so spans are keyed by (node, span ID):
 // a parent reference first resolves on the child's own node, then
 // cross-node — preferring a unique ID match, breaking ties by time
 // containment (the parent's interval must cover the child's start).
@@ -148,10 +150,15 @@ func resolveParent(s *Span, byNodeSpan map[nodeSpanKey]*Span, byID map[uint64][]
 
 // Render draws the stitched trace as an indented timeline: offsets are
 // relative to the earliest span, one line per span with its node, name,
-// duration, and error, orphaned subtrees flagged at the bottom.
+// duration, error, and attributes, orphaned subtrees flagged at the
+// bottom.
 func (t *Trace) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace %s: %d spans across %d nodes", t.Trace, t.Spans, len(t.Nodes))
+	title := "trace " + t.Trace
+	if t.Trace == "" {
+		title = "events"
+	}
+	fmt.Fprintf(&b, "%s: %d spans across %d nodes", title, t.Spans, len(t.Nodes))
 	if t.Truncated {
 		b.WriteString(" (TRUNCATED: some tracer rings dropped spans)")
 	}
@@ -190,6 +197,14 @@ func renderSpan(b *strings.Builder, s *Span, t0 time.Time, depth int) {
 		s.Duration.Round(time.Microsecond))
 	if s.Err != "" {
 		fmt.Fprintf(b, " err=%q", s.Err)
+	}
+	keys := make([]string, 0, len(s.Attrs))
+	for k := range s.Attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(b, " %s=%s", k, s.Attrs[k])
 	}
 	b.WriteByte('\n')
 	for _, c := range s.Children {

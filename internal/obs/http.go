@@ -18,9 +18,9 @@ type HandlerOptions struct {
 	Ready func() bool
 	// Audit, when non-nil, is mounted at /audit (the audit.Log handler).
 	Audit http.Handler
-	// Events, when non-nil, is mounted at /events (the flight-recorder
-	// handler: flight.Recorder.HTTPHandler).
-	Events http.Handler
+	// Events, when non-nil, is mounted at /events: its ring's dump,
+	// served like /trace (a node's marked events, NodeObs.Flight).
+	Events *Tracer
 	// PProf mounts net/http/pprof under /debug/pprof/.
 	PProf bool
 }
@@ -36,8 +36,9 @@ type HandlerOptions struct {
 //	/trace            TraceDump JSON of the tracer's ring buffer (newest
 //	                  last, with a truncated marker); ?trace=<hex TraceID>
 //	                  filters to one trace
+//	/events           the same dump of opts.Events, when set
 //
-// plus the optional endpoints of opts. tr may be nil, in which case
+// plus the other optional endpoints of opts. tr may be nil, in which case
 // /trace serves an empty dump.
 func Handler(reg *Registry, tr *Tracer, opts HandlerOptions) http.Handler {
 	mux := http.NewServeMux()
@@ -55,17 +56,12 @@ func Handler(reg *Registry, tr *Tracer, opts HandlerOptions) http.Handler {
 		}
 		fmt.Fprintln(w, "ready")
 	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(tr.Dump(req.URL.Query().Get("trace")))
-	})
+	mux.Handle("/trace", dumpHandler(tr))
 	if opts.Audit != nil {
 		mux.Handle("/audit", opts.Audit)
 	}
 	if opts.Events != nil {
-		mux.Handle("/events", opts.Events)
+		mux.Handle("/events", dumpHandler(opts.Events))
 	}
 	if opts.PProf {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -75,6 +71,17 @@ func Handler(reg *Registry, tr *Tracer, opts HandlerOptions) http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
+}
+
+// dumpHandler serves tr's TraceDump (?trace=<hex TraceID> filters it) as
+// compact JSON: the bytes json.Marshal gives, which is what the wire
+// obs_pull RPC carries, so both transports serve one exposition.
+func dumpHandler(tr *Tracer) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		b, _ := json.Marshal(tr.Dump(req.URL.Query().Get("trace")))
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(b)
+	})
 }
 
 // MetricsHandler serves the families fams returns at request time:

@@ -146,6 +146,7 @@ func TestHandlerOptsEndpoints(t *testing.T) {
 	for path, want := range map[string]int{
 		"/readyz":              http.StatusOK,
 		"/audit":               http.StatusNotFound,
+		"/events":              http.StatusNotFound,
 		"/debug/pprof/cmdline": http.StatusNotFound,
 	} {
 		resp, err := http.Get(bare.URL + path)
@@ -156,6 +157,41 @@ func TestHandlerOptsEndpoints(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Errorf("bare %s = %d, want %d", path, resp.StatusCode, want)
 		}
+	}
+}
+
+// TestEventsHandlerJSONRoundTrip: /events serves the events ring, not the
+// span ring, and its JSON decodes back into the ring's own dump.
+func TestEventsHandlerJSONRoundTrip(t *testing.T) {
+	spans := NewTracer(16)
+	spans.Start("rpc.renew").End(nil)
+	events := NewTracer(16)
+	events.Mark("http.event", "who", "test")
+
+	srv := httptest.NewServer(Handler(NewRegistry(), spans, HandlerOptions{Events: events}))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/events")
+	if err != nil {
+		t.Fatalf("GET /events: %v", err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+		t.Errorf("Content-Type = %q, want JSON", ct)
+	}
+	var got TraceDump
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	want := events.Dump("")
+	if got.Truncated != want.Truncated || got.Dropped != want.Dropped || len(got.Events) != 1 {
+		t.Fatalf("round-tripped dump = %+v, want %+v", got, want)
+	}
+	ev, orig := got.Events[0], want.Events[0]
+	if ev.Name != "http.event" || ev.Attrs["who"] != "test" || len(ev.Attrs) != 1 {
+		t.Fatalf("round-tripped event = %+v, want the one mark", ev)
+	}
+	if ev.Span != orig.Span || !ev.Start.Equal(orig.Start) || ev.Duration != 0 || ev.Trace != "" {
+		t.Fatalf("round-tripped event = %+v, want %+v", ev, orig)
 	}
 }
 

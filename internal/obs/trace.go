@@ -74,9 +74,10 @@ type Event struct {
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
-// Tracer records spans into a fixed-size ring buffer: always on, bounded
-// memory, newest events overwrite the oldest. The /trace endpoint dumps
-// the buffer. A nil *Tracer is safe to use everywhere (all ops no-op).
+// Tracer records spans and instant events (Mark) into a fixed-size ring
+// buffer: always on, bounded memory, newest events overwrite the oldest.
+// The /trace and /events endpoints dump a node's two rings. A nil *Tracer
+// is safe to use everywhere (all ops no-op).
 type Tracer struct {
 	seq     atomic.Uint64
 	dropped atomic.Int64 // spans evicted by ring wrap before export
@@ -197,6 +198,26 @@ func (s *Span) End(err error) {
 		ev.Err = err.Error()
 	}
 	s.tr.record(ev)
+}
+
+// Mark records an instant event: it starts now, lasts 0, carries no
+// trace ID, and takes its span ID from the ring's own sequence. kv holds
+// attribute key/value pairs (an unpaired trailing key is dropped). A node
+// marks its operational events (failovers, redirects, denials) into a
+// ring of their own, so a flood of spans cannot evict them. Safe on a nil
+// receiver.
+func (t *Tracer) Mark(name string, kv ...string) {
+	if t == nil {
+		return
+	}
+	ev := Event{Span: t.seq.Add(1), Name: name, Start: time.Now()}
+	if len(kv) >= 2 {
+		ev.Attrs = make(map[string]string, len(kv)/2)
+		for i := 0; i+1 < len(kv); i += 2 {
+			ev.Attrs[kv[i]] = kv[i+1]
+		}
+	}
+	t.record(ev)
 }
 
 func (t *Tracer) record(ev Event) {

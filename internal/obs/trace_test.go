@@ -98,6 +98,90 @@ func TestTracerNilSafety(t *testing.T) {
 	}
 }
 
+// TestNilTracerMarkIsNoop: a node without an events ring passes a nil
+// *Tracer to every emitter, so Mark and the reads of the ring must be inert.
+func TestNilTracerMarkIsNoop(t *testing.T) {
+	var tr *Tracer
+	tr.Mark("nil.event", "k", "v")
+	if tr.Events() != nil || tr.Len() != 0 || tr.Dropped() != 0 {
+		t.Fatal("nil tracer not inert")
+	}
+	if d := tr.Dump(""); d.Truncated || d.Dropped != 0 || len(d.Events) != 0 {
+		t.Fatalf("nil dump: %+v", d)
+	}
+	tr.ExposeMetrics(NewRegistry())
+}
+
+// TestTracerMark pins the instant-event shape: a mark is a root with no
+// trace ID, zero duration, and a span ID from the ring's one sequence;
+// its attributes come in key/value pairs.
+func TestTracerMark(t *testing.T) {
+	tr := NewTracer(16)
+	tr.Mark("a.first", "k", "1")
+	tr.Start("a.span").End(nil)
+	tr.Mark("a.second", "x", "y", "z", "w", "dangling")
+
+	events := tr.Events()
+	if len(events) != 3 {
+		t.Fatalf("events = %d, want 3", len(events))
+	}
+	first, second := events[0], events[2]
+	if first.Name != "a.first" || second.Name != "a.second" {
+		t.Fatalf("order = %q, %q", first.Name, second.Name)
+	}
+	if first.Trace != "" || first.Parent != 0 || first.Duration != 0 || first.Start.IsZero() {
+		t.Fatalf("mark = %+v, want a zero-length root without a trace", first)
+	}
+	if first.Span != 1 || events[1].Span != 2 || second.Span != 3 {
+		t.Fatalf("span IDs = %d, %d, %d, want one sequence 1, 2, 3", first.Span, events[1].Span, second.Span)
+	}
+	if first.Attrs["k"] != "1" || len(first.Attrs) != 1 {
+		t.Fatalf("first attrs = %v", first.Attrs)
+	}
+	if second.Attrs["x"] != "y" || second.Attrs["z"] != "w" || len(second.Attrs) != 2 {
+		t.Fatalf("second attrs = %v, want the two pairs and no dangling key", second.Attrs)
+	}
+	if a := tr.Dump("").Events[1].Attrs; a != nil {
+		t.Fatalf("span without annotations has attrs %v", a)
+	}
+}
+
+// TestMarkRingWrapCountsDrops: marks wrap the ring like spans, oldest
+// first, and every eviction is counted.
+func TestMarkRingWrapCountsDrops(t *testing.T) {
+	tr := NewTracer(16)
+	for i := 0; i < 40; i++ {
+		tr.Mark("wrap.tick", "i", fmt.Sprint(i))
+	}
+	d := tr.Dump("")
+	if !d.Truncated || d.Dropped != 24 || len(d.Events) != 16 {
+		t.Fatalf("dump truncated=%v dropped=%d len=%d, want true/24/16", d.Truncated, d.Dropped, len(d.Events))
+	}
+	if d.Events[0].Attrs["i"] != "24" || d.Events[15].Attrs["i"] != "39" {
+		t.Fatalf("window = %v..%v, want 24..39", d.Events[0].Attrs, d.Events[15].Attrs)
+	}
+}
+
+// TestMarkConcurrent: marks from many goroutines are each either kept or
+// counted as dropped, never lost.
+func TestMarkConcurrent(t *testing.T) {
+	conc := NewTracer(256)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				conc.Mark("conc.event")
+			}
+		}()
+	}
+	wg.Wait()
+	if got := conc.Len() + int(conc.Dropped()); got != 800 {
+		t.Fatalf("kept+dropped = %d, want 800", got)
+	}
+}
+
 func TestTraceIDRoundTrip(t *testing.T) {
 	id := NewTraceID()
 	if id.IsZero() {

@@ -1,9 +1,6 @@
 package ratls
 
-import (
-	"repro/internal/obs"
-	"repro/internal/obs/flight"
-)
+import "repro/internal/obs"
 
 // ExposeMetrics registers the channel's handshake counters with an obs
 // registry and, when tr is non-nil, records one trace span per handshake
@@ -35,8 +32,8 @@ func (c *Config) ExposeMetrics(reg *obs.Registry, tr *obs.Tracer) {
 	}
 }
 
-// SetFlightRecorder wires the black-box flight recorder; the channel emits
-// handshake failures into it. A nil recorder (the default) is free.
-func (c *Config) SetFlightRecorder(rec *flight.Recorder) {
+// SetFlightRecorder wires the node's event ring; the channel marks
+// handshake failures into it. A nil ring (the default) is free.
+func (c *Config) SetFlightRecorder(rec *obs.Tracer) {
 	c.flight.Store(rec)
 }

@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/attest"
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 	"repro/internal/sgx"
 )
 
@@ -105,7 +104,7 @@ type Config struct {
 	handshakeTimeout time.Duration
 
 	tracer atomic.Pointer[obs.Tracer]
-	flight atomic.Pointer[flight.Recorder]
+	flight atomic.Pointer[obs.Tracer]
 
 	coldHandshakes    atomic.Int64
 	resumedHandshakes atomic.Int64
@@ -288,9 +287,7 @@ func (c *Config) handshake(tconn *tls.Conn, mode string) (net.Conn, error) {
 	}
 	if err := tconn.Handshake(); err != nil {
 		c.handshakeFailures.Add(1)
-		c.flight.Load().Emit("ratls.handshake_failure",
-			flight.KV{K: "mode", V: mode},
-			flight.KV{K: "err", V: err.Error()})
+		c.flight.Load().Mark("ratls.handshake_failure", "mode", mode, "err", err.Error())
 		_ = tconn.Close()
 		err = fmt.Errorf("%w: %w", ErrHandshake, err)
 		span.End(err)

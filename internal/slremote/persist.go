@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/attest"
 	"repro/internal/lease"
-	"repro/internal/obs/flight"
 	"repro/internal/seccrypto"
 	"repro/internal/store"
 )
@@ -184,9 +183,8 @@ func (s *Server) snapshotLocked() error {
 	if err := s.persist.snap.Snapshot(sealed); err != nil {
 		return fmt.Errorf("slremote: writing snapshot: %w", err)
 	}
-	s.flight.Load().Emit("slremote.wal_compaction",
-		flight.KV{K: "compacted_records", V: strconv.Itoa(s.persist.appended)},
-		flight.KV{K: "snapshot_bytes", V: strconv.Itoa(len(sealed))})
+	s.flight.Load().Mark("slremote.wal_compaction",
+		"compacted_records", strconv.Itoa(s.persist.appended), "snapshot_bytes", strconv.Itoa(len(sealed)))
 	s.persist.appended = 0
 	return nil
 }

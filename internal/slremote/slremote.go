@@ -31,7 +31,7 @@ import (
 	"repro/internal/attest"
 	"repro/internal/audit"
 	"repro/internal/lease"
-	"repro/internal/obs/flight"
+	"repro/internal/obs"
 	"repro/internal/seccrypto"
 	"repro/internal/sgx"
 )
@@ -159,7 +159,7 @@ type Server struct {
 
 	stats   ServerStats
 	metrics atomic.Pointer[serverMetrics]
-	flight  atomic.Pointer[flight.Recorder]
+	flight  atomic.Pointer[obs.Tracer]
 
 	// renews coalesces concurrent RenewLease calls into group-committed
 	// batches; it has its own mutex, taken strictly before (never inside)
@@ -167,10 +167,9 @@ type Server struct {
 	renews renewBatcher
 }
 
-// SetFlightRecorder wires the black-box flight recorder; the server emits
-// denials and WAL compactions into it. A nil recorder (the default) is
-// free.
-func (s *Server) SetFlightRecorder(rec *flight.Recorder) {
+// SetFlightRecorder wires the node's event ring; the server marks denials
+// and WAL compactions into it. A nil ring (the default) is free.
+func (s *Server) SetFlightRecorder(rec *obs.Tracer) {
 	s.flight.Store(rec)
 }
 
@@ -687,14 +686,11 @@ func (s *Server) renewBatch(batch []*renewCall) {
 }
 
 // denyLocked refuses one renewal: counted, audited, and recorded in the
-// flight ring, but never logged — a denial mutates nothing.
+// event ring, but never logged — a denial mutates nothing.
 func (s *Server) denyLocked(call *renewCall, err error) {
 	s.stats.RenewalsDenied++
 	s.auditLocked(audit.Record{Op: audit.OpDeny, SLID: call.slid, License: call.license, Err: err.Error()})
-	s.flight.Load().Emit("slremote.denial",
-		flight.KV{K: "slid", V: call.slid},
-		flight.KV{K: "license", V: call.license},
-		flight.KV{K: "err", V: err.Error()})
+	s.flight.Load().Mark("slremote.denial", "slid", call.slid, "license", call.license, "err", err.Error())
 	call.err = err
 }
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 	"repro/internal/ratls"
 	"repro/internal/seccrypto"
 	"repro/internal/slremote"
@@ -44,7 +43,7 @@ type Server struct {
 	drained  atomic.Int64 // connections that shut down after finishing in-flight work
 	aborted  atomic.Int64 // connections force-closed at the Shutdown deadline
 	metrics  atomic.Pointer[serverMetrics]
-	flight   atomic.Pointer[flight.Recorder]
+	flight   atomic.Pointer[obs.Tracer]
 
 	// preDispatch, when set, runs before each dispatch (tests inject
 	// handler panics through it).
@@ -74,13 +73,13 @@ type ReplSource interface {
 const DefaultReplBatchBytes = 4 << 20
 
 // ObsSource builds the server's observability snapshot for one TypeObsPull
-// request: the caller wires a closure over its registry, tracer, and flight
-// recorder.
+// request: the caller wires a closure over its registry and its span and
+// event rings.
 type ObsSource func(traceFilter string) ObsPullResponse
 
-// SetFlightRecorder wires the black-box flight recorder; the server emits
-// routing and drain events into it. A nil recorder (the default) is free.
-func (s *Server) SetFlightRecorder(rec *flight.Recorder) {
+// SetFlightRecorder wires the node's event ring; the server marks routing
+// and drain events into it. A nil ring (the default) is free.
+func (s *Server) SetFlightRecorder(rec *obs.Tracer) {
 	s.flight.Store(rec)
 }
 
@@ -191,8 +190,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.closed = true
 	s.draining = true
-	s.flight.Load().Emit("wire.drain",
-		flight.KV{K: "open_conns", V: strconv.Itoa(len(s.conns))})
+	s.flight.Load().Mark("wire.drain", "open_conns", strconv.Itoa(len(s.conns)))
 	if s.listener != nil {
 		_ = s.listener.Close()
 	}
@@ -418,10 +416,8 @@ func (s *Server) dispatch(conn net.Conn, fw *frameWriter, env Envelope, typ rpcT
 			return false, nil
 		}
 		span.Annotate("redirect", leader)
-		s.flight.Load().Emit("wire.redirect",
-			flight.KV{K: "license", V: license},
-			flight.KV{K: "leader", V: leader},
-			flight.KV{K: "epoch", V: strconv.FormatUint(epoch, 10)})
+		s.flight.Load().Mark("wire.redirect",
+			"license", license, "leader", leader, "epoch", strconv.FormatUint(epoch, 10))
 		return true, reply(TypeNotLeader, NotLeaderResponse{License: license, Leader: leader, Epoch: epoch})
 	}
 	switch env.Type {

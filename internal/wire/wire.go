@@ -55,7 +55,7 @@ const (
 	TypeReplPull  = "repl_pull"
 	TypeReplBatch = "repl_batch"
 	// TypeObsPull asks a server for its observability state (full-fidelity
-	// metric export, trace dump, flight-recorder dump) over the attested
+	// metric export, span-ring dump, event-ring dump) over the attested
 	// channel, so a fleet scraper needs no separate plaintext HTTP port.
 	TypeObsPull = "obs_pull"
 )
@@ -159,8 +159,8 @@ type ObsPullRequest struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// ObsPullResponse carries the server's full-fidelity metric export, trace
-// dump, and flight-recorder dump as raw JSON documents (the same bytes the
+// ObsPullResponse carries the server's full-fidelity metric export, span
+// ring dump, and event ring dump as raw JSON documents (the same bytes the
 // HTTP endpoints serve), so the fleet scraper parses one format regardless
 // of transport.
 type ObsPullResponse struct {
